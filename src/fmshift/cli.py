@@ -26,14 +26,14 @@ from .inference import TestConfig, test_modes
 from .io import (
     DegenerateFeatureError,
     InputFormatError,
+    _curves_csv_text,
     file_digest,
     read_curves_csv,
     read_signature_dir,
     tangential_acceleration,
-    write_curves_csv,
 )
 from .kernels import BUILTIN_PAIR_NAMES, builtin_pair
-from .reports import ModeTestTable, RunReport, ScanTable
+from .reports import ModeTestTable, RunReport
 from .surrogate import DensityModel, NormalizerError
 
 EXIT_OK = 0
@@ -199,7 +199,7 @@ def _cmd_scan(args) -> int:
     spec = _distance_spec(args)
     pair = builtin_pair(args.kernel)
     sc = ScanSpec(args.values, args.lo, args.hi, args.min_plateau)
-    result = scan(sample, pair, _distance_spec(args), sc, _engine_cfg(args))
+    result = scan(sample, pair, spec, sc, _engine_cfg(args))
     lines = [f"# fmshift scan (kernel={args.kernel}, distance={args.distance})",
              f"# max_distance = {result.max_distance!r}",
              "# candidates = " + ";".join(repr(c) for c in result.candidates),
@@ -258,10 +258,7 @@ def _cmd_simulate(args) -> int:
     spec = GeneratorSpec(args.kind, args.n, args.seed)
     grid = Grid(np.linspace(0.0, 1.0, args.grid_points))
     sample = generate(spec, grid)
-    lines = [",".join(repr(float(p)) for p in grid.points)]
-    for label, curve in zip(sample.labels, sample.curves):
-        lines.append(",".join([str(label)] + [repr(float(v)) for v in curve.values]))
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    _write_atomic(args.out, _curves_csv_text(sample))
     print(f"wrote {len(sample)} curves ({args.kind}, seed {args.seed})",
           file=sys.stderr)
     return EXIT_OK

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .function_space import Curve, FunctionalSample
 from .surrogate import DensityModel, OutsideSupportError
@@ -131,33 +132,6 @@ def ascend(model: DensityModel, x0: Curve, cfg: MeanShiftConfig) -> Trajectory:
     return Trajectory(x0, tuple(iterates), converged, destination=0)
 
 
-def _single_linkage_merge(dist: np.ndarray, radius: float) -> np.ndarray:
-    """Connected components of the graph with edges below the merge radius."""
-    n = dist.shape[0]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    roots = [find(i) for i in range(n)]
-    order: dict[int, int] = {}
-    labels = np.empty(n, dtype=int)
-    for i, r in enumerate(roots):
-        if r not in order:
-            order[r] = len(order)
-        labels[i] = order[r]
-    return labels
-
-
 def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
             starts: list[Curve] | None = None) -> ModeSet:
     """Run mean-shift from every start and merge the terminal points.
@@ -179,20 +153,14 @@ def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
     assignments = [OUTSIDE_SUPPORT] * len(starts)
     modes: list[Curve] = []
     if in_support:
-        terminals = [trajectories[i].terminal for i in in_support]
-        if len(terminals) == 1:
-            labels = np.array([0])
-        else:
-            pd = np.array([[_distance_between(model, a, b) if i < j else 0.0
-                            for j, b in enumerate(terminals)]
-                           for i, a in enumerate(terminals)])
-            pd = pd + pd.T
-            labels = _single_linkage_merge(pd, radius)
-        n_modes = labels.max() + 1
+        terminals = np.array([trajectories[i].terminal.values for i in in_support])
+        F = model.metric.components(terminals)
+        # single linkage: connected components of the graph with edges below
+        # the radius, labelled in order of first appearance
+        n_modes, labels = connected_components(
+            model.metric.pairwise(F, F) <= radius, directed=False)
         for j in range(n_modes):
-            members = [terminals[i] for i in np.flatnonzero(labels == j)]
-            vals = np.mean([m.values for m in members], axis=0)
-            modes.append(Curve(model.grid, vals))
+            modes.append(Curve(model.grid, terminals[labels == j].mean(axis=0)))
         for pos, i in enumerate(in_support):
             assignments[i] = int(labels[pos])
         trajectories = [
@@ -228,8 +196,7 @@ def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
 
 
 def _distance_between(model: DensityModel, a: Curve, b: Curve) -> float:
-    from .function_space import distance
-    return distance(a, b, model.distance)
+    return model.metric.distance(a.values, b.values)
 
 
 def blurring_pass(model: DensityModel) -> FunctionalSample:

@@ -17,11 +17,10 @@ quadrature inner product, projects, and runs Lloyd's k-means on the scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
-
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .function_space import Curve, FunctionalSample, Grid
+from .function_space import FunctionalSample, Grid
 
 __all__ = [
     "GeneratorSpec",
@@ -199,17 +198,10 @@ def clustering_accuracy(true_labels, cluster_labels) -> float:
     cluster_labels = list(cluster_labels)
     if len(true_labels) != len(cluster_labels):
         raise ValueError("label lists differ in length")
-    tvals = sorted(set(true_labels), key=str)
-    cvals = sorted(set(cluster_labels), key=str)
-    n = len(true_labels)
-    counts = {(c, t): 0 for c in cvals for t in tvals}
+    tidx = {t: j for j, t in enumerate(set(true_labels))}
+    cidx = {c: i for i, c in enumerate(set(cluster_labels))}
+    counts = np.zeros((len(cidx), len(tidx)), dtype=int)
     for t, c in zip(true_labels, cluster_labels):
-        counts[(c, t)] += 1
-    best = 0
-    if len(cvals) <= len(tvals):
-        for perm in permutations(tvals, len(cvals)):
-            best = max(best, sum(counts[(c, t)] for c, t in zip(cvals, perm)))
-    else:
-        for perm in permutations(cvals, len(tvals)):
-            best = max(best, sum(counts[(c, t)] for c, t in zip(perm, tvals)))
-    return best / n
+        counts[cidx[c], tidx[t]] += 1
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    return int(counts[rows, cols].sum()) / len(true_labels)

@@ -8,6 +8,7 @@ no resampling. Grids may be non-uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,6 +24,7 @@ __all__ = [
     "inner_product",
     "distance",
     "norm",
+    "Metric",
     "estimate_derivative",
     "linear_combination",
 ]
@@ -194,10 +196,6 @@ class DistanceSpec:
         if self.kind == "derivative_l2" and self.order not in (1, 2):
             raise ValueError("derivative_l2 supports orders 1 and 2")
 
-    @property
-    def needs_derivatives(self) -> bool:
-        return self.kind in ("sobolev_h1", "derivative_l2")
-
 
 def _check_same_grid(a: Curve, b: Curve):
     if a.grid != b.grid:
@@ -206,13 +204,6 @@ def _check_same_grid(a: Curve, b: Curve):
 
 # ---------------------------------------------------------------------------
 # Derivative estimation
-
-
-def _finite_difference(values: np.ndarray, points: np.ndarray, order: int) -> np.ndarray:
-    out = values
-    for _ in range(order):
-        out = np.gradient(out, points)
-    return out
 
 
 def estimate_derivative(c: Curve, order: int, method: DerivativeMethod | None = None) -> Curve:
@@ -224,25 +215,22 @@ def estimate_derivative(c: Curve, order: int, method: DerivativeMethod | None = 
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
     method = method or DerivativeMethod()
-    pts = c.grid.points
-    if method.kind == "finite_difference":
-        if pts.size < order + 1:
-            raise ValueError("grid too short for finite differences")
-        vals = _finite_difference(c.values, pts, order)
-    else:
-        vals = _local_poly_deriv(c.values, pts, order, method.degree, method.bandwidth)
-    return Curve(c.grid, vals)
+    return Curve(c.grid, _derivative_matrix(c.values, c.grid.points, order, method))
 
 
-def _local_poly_deriv(values, points, order, degree, bandwidth):
-    import math
+def _local_poly_operator(points, order, degree, bandwidth) -> np.ndarray:
+    """L x L matrix D such that ``v @ D`` is the local-polynomial derivative of v.
 
+    At each point the weighted least-squares fit of v is ``pinv(A) @ (sw * v)``
+    for the weighted design A, a linear smoother, so the order-m coefficient
+    row of ``pinv(A)`` scaled by the weights is one column of D.
+    """
     if degree < order:
         raise ValueError("local_poly degree must be >= derivative order")
     n = points.size
     if n < degree + 1:
         raise ValueError("grid too short for the requested polynomial degree")
-    out = np.empty(n)
+    D = np.empty((n, n))
     for i, t0 in enumerate(points):
         u = points - t0
         w = np.exp(-0.5 * (u / bandwidth) ** 2)
@@ -250,27 +238,82 @@ def _local_poly_deriv(values, points, order, degree, bandwidth):
             idx = np.argsort(np.abs(u))[: degree + 1]
             w = np.zeros(n)
             w[idx] = 1.0
-        A = np.vander(u, degree + 1, increasing=True)
         sw = np.sqrt(w)
-        coef, *_ = np.linalg.lstsq(A * sw[:, None], values * sw, rcond=None)
-        out[i] = coef[order] * math.factorial(order)
-    return out
+        A = np.vander(u, degree + 1, increasing=True) * sw[:, None]
+        D[:, i] = np.linalg.pinv(A)[order] * sw * math.factorial(order)
+    return D
+
+
+def _derivative_matrix(values: np.ndarray, points: np.ndarray, order: int,
+                       method: DerivativeMethod) -> np.ndarray:
+    """Derivatives of each row of a value matrix (or of one value vector)."""
+    if method.kind == "finite_difference":
+        if points.size < order + 1:
+            raise ValueError("grid too short for finite differences")
+        out = values
+        for _ in range(order):
+            out = np.gradient(out, points, axis=-1)
+        return out
+    return values @ _local_poly_operator(points, order, method.degree, method.bandwidth)
 
 
 # ---------------------------------------------------------------------------
 # Inner products and distances
 
 
-def _derivative_matrix(values: np.ndarray, points: np.ndarray, order: int,
-                       method: DerivativeMethod) -> np.ndarray:
-    """Derivatives of each row of a value matrix."""
-    if method.kind == "finite_difference":
-        out = values
-        for _ in range(order):
-            out = np.gradient(out, points, axis=-1)
-        return out
-    return np.array([_local_poly_deriv(row, points, order, method.degree, method.bandwidth)
-                     for row in np.atleast_2d(values)]).reshape(values.shape)
+def _pairwise_component_l2(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted L2 distances between rows of A and rows of B."""
+    G = (A * w) @ B.T
+    na = np.einsum("ij,ij->i", A * w, A)
+    nb = np.einsum("ij,ij->i", B * w, B)
+    d2 = na[:, None] + nb[None, :] - 2.0 * G
+    return np.sqrt(np.clip(d2, 0.0, None))
+
+
+class Metric:
+    """The inner product and distance of one (grid, DistanceSpec), built once.
+
+    Each spec is a sum over linear components of the curve values: "l2" uses
+    the values, "derivative_l2" the order-m derivatives, "sobolev_h1" the
+    values and the first derivatives. A derivative is a fixed L x L operator
+    D applied as ``V @ D`` (both derivative methods are linear), so the
+    derivative rows of a difference are the differences of derivative rows.
+    The inner product is the sum of the component trapezoid inner products;
+    the distance is the sum of the component L2 norms of the difference.
+    """
+
+    def __init__(self, grid: Grid, spec: DistanceSpec | None = None):
+        spec = spec or DistanceSpec()
+        self.w = grid.quad_weights
+        if spec.kind == "l2":
+            self.operators = (None,)  # None: the identity, applied without a matmul
+        else:
+            order = 1 if spec.kind == "sobolev_h1" else spec.order
+            D = _derivative_matrix(np.eye(len(grid)), grid.points, order,
+                                   spec.derivative_method)
+            self.operators = (None, D) if spec.kind == "sobolev_h1" else (D,)
+
+    def components(self, V: np.ndarray) -> tuple:
+        """The component rows of a value matrix (or of one value vector)."""
+        return tuple(V if D is None else V @ D for D in self.operators)
+
+    def gram(self, FA: tuple, FB: tuple) -> np.ndarray:
+        """Inner products between the rows of two component tuples (a scalar
+        for the components of two value vectors)."""
+        return sum((a * self.w) @ b.T for a, b in zip(FA, FB))
+
+    def pairwise(self, FA: tuple, FB: tuple) -> np.ndarray:
+        """Distances between the rows of two component tuples, in Gram form.
+
+        The Gram form loses about sqrt(eps) of accuracy near zero distance;
+        ``distance`` keeps the difference form for a single pair.
+        """
+        return sum(_pairwise_component_l2(a, b, self.w) for a, b in zip(FA, FB))
+
+    def distance(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Distance between two value vectors, from their difference."""
+        return float(sum(np.sqrt(max(np.dot(c * self.w, c), 0.0))
+                         for c in self.components(a - b)))
 
 
 def inner_product(a: Curve, b: Curve, spec: DistanceSpec | None = None) -> float:
@@ -279,21 +322,9 @@ def inner_product(a: Curve, b: Curve, spec: DistanceSpec | None = None) -> float
     For "sobolev_h1" this is <a,b>_L2 + <a',b'>_L2; for "derivative_l2" it is
     the L2 inner product of the order-m derivatives.
     """
-    spec = spec or DistanceSpec()
     _check_same_grid(a, b)
-    w = a.grid.quad_weights
-    if spec.kind == "l2":
-        return float(np.dot(a.values * w, b.values))
-    da = _derivative_matrix(a.values[None, :], a.grid.points,
-                            1 if spec.kind == "sobolev_h1" else spec.order,
-                            spec.derivative_method)[0]
-    db = _derivative_matrix(b.values[None, :], b.grid.points,
-                            1 if spec.kind == "sobolev_h1" else spec.order,
-                            spec.derivative_method)[0]
-    deriv_part = float(np.dot(da * w, db))
-    if spec.kind == "sobolev_h1":
-        return float(np.dot(a.values * w, b.values)) + deriv_part
-    return deriv_part
+    m = Metric(a.grid, spec)
+    return float(m.gram(m.components(a.values), m.components(b.values)))
 
 
 def norm(a: Curve, spec: DistanceSpec | None = None) -> float:
@@ -309,20 +340,8 @@ def distance(a: Curve, b: Curve, spec: DistanceSpec | None = None) -> float:
     "sobolev_h1" is the sum ||a-b||_L2 + ||a'-b'||_L2 (a sum of norms, not the
     norm induced by the H1 inner product).
     """
-    spec = spec or DistanceSpec()
     _check_same_grid(a, b)
-    w = a.grid.quad_weights
-    diff = a.values - b.values
-    l2 = np.sqrt(max(np.dot(diff * w, diff), 0.0))
-    if spec.kind == "l2":
-        return float(l2)
-    order = 1 if spec.kind == "sobolev_h1" else spec.order
-    ddiff = _derivative_matrix(diff[None, :], a.grid.points, order,
-                               spec.derivative_method)[0]
-    dl2 = np.sqrt(max(np.dot(ddiff * w, ddiff), 0.0))
-    if spec.kind == "sobolev_h1":
-        return float(l2 + dl2)
-    return float(dl2)
+    return Metric(a.grid, spec).distance(a.values, b.values)
 
 
 def linear_combination(coeffs: Sequence[float], curves: Sequence[Curve]) -> Curve:

@@ -10,7 +10,7 @@ when its whole interval lies below zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

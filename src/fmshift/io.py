@@ -86,11 +86,16 @@ def read_curves_csv(path) -> FunctionalSample:
         values = []
         for j, cell in enumerate(cells[start:], start=start):
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise InputFormatError(
                     f"{path}: non-numeric cell at row {rownum}, column {j + 1}: {cell!r}"
                 ) from None
+            if not np.isfinite(value):
+                raise InputFormatError(
+                    f"{path}: non-finite cell at row {rownum}, column {j + 1}: {cell!r}"
+                )
+            values.append(value)
         return label, values
 
     _, grid_vals = parse_row(lines[0], 1, allow_label=False)
@@ -114,14 +119,18 @@ def read_curves_csv(path) -> FunctionalSample:
     return FunctionalSample.from_matrix(grid, np.array(rows), sample_labels)
 
 
-def write_curves_csv(path, sample: FunctionalSample) -> None:
+def _curves_csv_text(sample: FunctionalSample) -> str:
     lines = [",".join(_fmt(p) for p in sample.grid.points)]
     for i, c in enumerate(sample.curves):
         cells = [_fmt(v) for v in c.values]
         if sample.labels is not None:
             cells = [str(sample.labels[i])] + cells
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_curves_csv(path, sample: FunctionalSample) -> None:
+    Path(path).write_text(_curves_csv_text(sample), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +235,8 @@ def tangential_acceleration(sig: SignatureRecord, grid: Grid,
     xc, yc = Curve(grid, xr), Curve(grid, yr)
     dx = estimate_derivative(xc, 1, method).values
     dy = estimate_derivative(yc, 1, method).values
-    d2x = estimate_derivative(xc, 2, method).values if method.kind == "local_poly" \
-        else estimate_derivative(Curve(grid, dx), 1, method).values
-    d2y = estimate_derivative(yc, 2, method).values if method.kind == "local_poly" \
-        else estimate_derivative(Curve(grid, dy), 1, method).values
+    d2x = estimate_derivative(xc, 2, method).values
+    d2y = estimate_derivative(yc, 2, method).values
 
     speed = np.hypot(dx, dy)
     thresh = 1e-9 * max(float(speed.max()), 1e-300)

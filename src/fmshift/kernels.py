@@ -145,6 +145,17 @@ def _sinc_C() -> float:
     return val
 
 
+def _sinc_deriv(t: np.ndarray, c: float) -> np.ndarray:
+    # the quotient form cancels catastrophically near 0 and is 0/0 at 0, so
+    # small t takes the linear term of the series, each form on its own mask
+    out = -(np.pi / 2.0) ** 4 / (3.0 * c) * t
+    big = t > 1e-8
+    tb = t[big]
+    out[big] = (np.pi / 2.0) * ((np.pi / 2.0) * tb * np.cos(np.pi * tb / 2.0)
+                                - np.sin(np.pi * tb / 2.0)) / (c * tb**2)
+    return out
+
+
 def _make_builtin(name: str) -> KernelPair:
     if name == "uniform_epanechnikov":
         g = _poly_shadow("epanechnikov", 1)
@@ -175,13 +186,7 @@ def _make_builtin(name: str) -> KernelPair:
         k = Profile(
             "sinc",
             fn=lambda t, c=C: (np.pi / 2.0) ** 2 * np.sinc(t / 2.0) / c,
-            dfn=lambda t, c=C: np.where(
-                t > 1e-8,
-                (np.pi / 2.0)
-                * ((np.pi / 2.0) * t * np.cos(np.pi * t / 2.0)
-                   - np.sin(np.pi * t / 2.0)) / (c * t**2),
-                -(np.pi / 2.0) ** 4 / (3.0 * c) * t,
-            ),
+            dfn=lambda t, c=C: _sinc_deriv(t, c),
             curvature0=-(np.pi / 2.0) ** 4 / (3.0 * _sinc_C()),
         )
     elif name == "gaussian_gaussian":

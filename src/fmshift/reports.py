@@ -7,9 +7,7 @@ knows the schema of every section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 __all__ = ["RunReport", "ScanTable", "ModeTestTable", "parse_report"]
 

@@ -12,7 +12,7 @@ two versions of the curvature statistic lambda = sup_{||y||=1} p~^(2)(y, y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,10 @@ from .function_space import (
     DistanceSpec,
     FunctionalSample,
     GridMismatchError,
-    _derivative_matrix,
+    Metric,
 )
+# re-exported only so that perfbench/tracing.py can wrap it under this name too
+from .function_space import _derivative_matrix  # noqa: F401
 from .kernels import KernelPair
 
 __all__ = [
@@ -79,15 +81,6 @@ class BandwidthRule:
         return hs
 
 
-def _pairwise_component_l2(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted L2 distances between rows of A and rows of B."""
-    G = (A * w) @ B.T
-    na = np.einsum("ij,ij->i", A * w, A)
-    nb = np.einsum("ij,ij->i", B * w, B)
-    d2 = na[:, None] + nb[None, :] - 2.0 * G
-    return np.sqrt(np.clip(d2, 0.0, None))
-
-
 class DensityModel:
     """Bundles a sample, a kernel pair, a distance and a bandwidth rule.
 
@@ -113,20 +106,13 @@ class DensityModel:
         self.normalized = bool(normalized)
 
         self.grid = sample.grid
+        self.metric = Metric(self.grid, self.distance)
         self._V = sample.matrix
-        self._w = self.grid.quad_weights
         self._n = self._V.shape[0]
         self._h = bandwidth.resolve(self._n)
+        self._F = self.metric.components(self._V)
 
-        spec = self.distance
-        self._dV = None
-        if spec.needs_derivatives:
-            order = 1 if spec.kind == "sobolev_h1" else spec.order
-            self._dV = _derivative_matrix(self._V, self.grid.points, order,
-                                          spec.derivative_method)
-            self._deriv_order = order
-
-        self.pairwise_distances = self._pairwise(self._V, self._dV)
+        self.pairwise_distances = self.metric.pairwise(self._F, self._F)
         off = ~np.eye(self._n, dtype=bool)
         if self._n > 1:
             self.min_pairwise_distance = float(self.pairwise_distances[off].min())
@@ -153,74 +139,32 @@ class DensityModel:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _pairwise(self, A, dA):
-        spec = self.distance
-        w = self._w
-        if spec.kind == "l2":
-            return _pairwise_component_l2(A, A, w)
-        d_part = _pairwise_component_l2(dA, dA, w)
-        if spec.kind == "derivative_l2":
-            return d_part
-        return _pairwise_component_l2(A, A, w) + d_part
-
-    def _query_arrays(self, x: Curve):
+    def _components(self, x: Curve) -> tuple:
+        """Metric components of a query curve, as single-row matrices."""
         if x.grid != self.grid:
             raise GridMismatchError("query curve is not on the sample grid")
-        xv = x.values
-        dxv = None
-        if self._dV is not None:
-            dxv = _derivative_matrix(xv[None, :], self.grid.points,
-                                     self._deriv_order,
-                                     self.distance.derivative_method)[0]
-        return xv, dxv
+        return self.metric.components(x.values[None, :])
+
+    def _norm(self, F: tuple) -> float:
+        return float(np.sqrt(max(self.metric.gram(F, F)[0, 0], 0.0)))
 
     def distances_to(self, x: Curve) -> np.ndarray:
         """d(X_i, x) for every sample curve, under the model's distance."""
-        xv, dxv = self._query_arrays(x)
-        spec = self.distance
-        w = self._w
-        if spec.kind == "l2":
-            return _pairwise_component_l2(self._V, xv[None, :], w)[:, 0]
-        d_part = _pairwise_component_l2(self._dV, dxv[None, :], w)[:, 0]
-        if spec.kind == "derivative_l2":
-            return d_part
-        return _pairwise_component_l2(self._V, xv[None, :], w)[:, 0] + d_part
-
-    def _ip_rows(self, D: np.ndarray, dD: np.ndarray | None,
-                 y: np.ndarray, dy: np.ndarray | None) -> np.ndarray:
-        """<D_i, y> for each row, under the inner product of the distance spec."""
-        spec = self.distance
-        w = self._w
-        if spec.kind == "l2":
-            return (D * w) @ y
-        d_part = (dD * w) @ dy
-        if spec.kind == "derivative_l2":
-            return d_part
-        return (D * w) @ y + d_part
-
-    def _ip_gram(self, D: np.ndarray, dD: np.ndarray | None) -> np.ndarray:
-        spec = self.distance
-        w = self._w
-        if spec.kind == "l2":
-            return (D * w) @ D.T
-        d_part = (dD * w) @ dD.T
-        if spec.kind == "derivative_l2":
-            return d_part
-        return (D * w) @ D.T + d_part
+        return self.metric.pairwise(self._F, self._components(x))[:, 0]
 
     def ip_norm(self, v: Curve) -> float:
         """Norm induced by the inner product of the distance spec."""
-        xv, dxv = self._query_arrays(v)
-        return float(np.sqrt(max(self._ip_rows(xv[None, :],
-                                               None if dxv is None else dxv[None, :],
-                                               xv, dxv)[0], 0.0)))
+        return self._norm(self._components(v))
 
-    def _diff_arrays(self, x: Curve):
-        """(X_i - x) rows, their derivative rows, and the distances d(X_i, x)."""
-        xv, dxv = self._query_arrays(x)
-        D = self._V - xv
-        dD = None if self._dV is None else self._dV - dxv
-        return xv, dxv, D, dD, self.distances_to(x)
+    def _diff(self, x: Curve):
+        """Components of the rows X_i - x, and the distances d(X_i, x).
+
+        By linearity the components of X_i - x are F(X_i) - F(x), so a query
+        applies the metric operators to x alone.
+        """
+        xF = self._components(x)
+        DF = tuple(f - xf for f, xf in zip(self._F, xF))
+        return DF, self.metric.pairwise(self._F, xF)[:, 0]
 
     # -- density estimates --------------------------------------------------
 
@@ -255,13 +199,13 @@ class DensityModel:
         mean-shift update, which touches the metric only through the distances,
         is unaffected.
         """
-        _, _, D, _, d = self._diff_arrays(x)
+        d = self.distances_to(x)
         coef = self.pair.C * self.w_G * self.pair.k(d / self._h) / self._h**2
-        return Curve(self.grid, coef @ D)
+        return Curve(self.grid, coef @ (self._V - x.values))
 
     def mean_shift_vector(self, x: Curve) -> Curve:
         """m(x): the shift from x to the local K-weighted sample mean."""
-        xv, _, _, _, d = self._diff_arrays(x)
+        d = self.distances_to(x)
         u = self.pair.k(d / self._h) / self._h**2
         tot = u.sum()
         if tot <= 0.0:
@@ -269,7 +213,7 @@ class DensityModel:
                 "query point is outside every support ball; the trivial root "
                 "condition holds there"
             )
-        return Curve(self.grid, (u @ self._V) / tot - xv)
+        return Curve(self.grid, (u @ self._V) / tot - x.values)
 
     def step_size(self, x: Curve) -> float:
         """Adaptive step size s(x) with x + m(x) = x + s(x) a*(x)."""
@@ -298,27 +242,25 @@ class DensityModel:
 
     def hessian_form(self, x: Curve, y: Curve, z: Curve) -> float:
         """Second Gateaux differential of p~ at x evaluated at (y, z)."""
-        _, _, D, dD, d = self._diff_arrays(x)
-        yv, dyv = self._query_arrays(y)
-        zv, dzv = self._query_arrays(z)
+        DF, d = self._diff(x)
+        yF, zF = self._components(y), self._components(z)
         h = self._h
         t = d / h
         kv = self.pair.k(t)
         dk = self.pair.k.deriv(t)
-        ip_y = self._ip_rows(D, dD, yv, dyv)
-        ip_z = self._ip_rows(D, dD, zv, dzv)
+        ip_y = self.metric.gram(DF, yF)[:, 0]
+        ip_z = self.metric.gram(DF, zF)[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             pair_coef = np.where(d > 0.0, dk / (h**3 * np.where(d > 0.0, d, 1.0)), 0.0)
         if np.any((d == 0.0) & (dk != 0.0)):
             self._curvature_limit()  # raises if the limit is unavailable
         pair_term = float((pair_coef * ip_y * ip_z).sum())
-        ip_yz = self._ip_rows(yv[None, :], None if dyv is None else dyv[None, :],
-                              zv, dzv)[0]
-        dens_term = float((kv / h**2).sum()) * float(ip_yz)
+        ip_yz = float(self.metric.gram(yF, zF)[0, 0])
+        dens_term = float((kv / h**2).sum()) * ip_yz
         return -self.pair.C * self.w_G * (pair_term + dens_term)
 
     def _lambda_terms(self, x: Curve):
-        _, _, D, dD, d = self._diff_arrays(x)
+        DF, d = self._diff(x)
         h = self._h
         t = d / h
         kv = self.pair.k(t)
@@ -333,7 +275,7 @@ class DensityModel:
         c0 = None
         if np.any(zero):
             c0 = self._curvature_limit()
-        return D, dD, d, h, kv, dk, dk_over_d, zero, c0
+        return DF, d, h, kv, dk, dk_over_d, zero, c0
 
     def lambda_eigen(self, x: Curve) -> float:
         """sup over unit y of the second differential, by eigendecomposition.
@@ -342,16 +284,15 @@ class DensityModel:
         w_i >= 0, so the supremum is the largest eigenvalue of the Gram-reduced
         rank-n operator minus b.
         """
-        D, dD, d, h, kv, dk, dk_over_d, zero, _ = self._lambda_terms(x)
+        DF, d, h, kv, dk, dk_over_d, zero, _ = self._lambda_terms(x)
         cw = self.pair.C * self.w_G
         b = cw * float((kv / h**2).sum())
         wts = -cw * dk_over_d / h**3  # >= 0 since k' <= 0
         live = wts > 0.0
         if not np.any(live):
             return -b
-        Dl = D[live]
-        dDl = None if dD is None else dD[live]
-        G = self._ip_gram(Dl, dDl)
+        Fl = tuple(c[live] for c in DF)
+        G = self.metric.gram(Fl, Fl)
         sw = np.sqrt(wts[live])
         B = sw[:, None] * G * sw[None, :]
         lam_max = float(np.linalg.eigvalsh(B)[-1])
@@ -363,10 +304,10 @@ class DensityModel:
         Kept alongside ``lambda_eigen`` for comparison; the two need not agree
         (see README) and reports carry both.
         """
-        D, dD, d, h, kv, dk, dk_over_d, zero, c0 = self._lambda_terms(x)
+        DF, d, h, kv, dk, dk_over_d, zero, c0 = self._lambda_terms(x)
         cw = self.pair.C * self.w_G
         vec_coef = dk_over_d / h**3
-        vnorm = self.ip_norm(Curve(self.grid, vec_coef @ D))
+        vnorm = self._norm(tuple((vec_coef @ c)[None, :] for c in DF))
         # scalar sum: (1/h^2) [ (1/h) k'(d/h) (d + 1/d) + k(d/h) ]; at d = 0
         # the k'd term vanishes and k'/d takes its continuity-extension limit
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from fmshift import SignatureRecord, parse_report, read_curves_csv, write_signature
+from fmshift import (
+    GeneratorSpec,
+    Grid,
+    SignatureRecord,
+    generate,
+    parse_report,
+    read_curves_csv,
+    write_curves_csv,
+    write_signature,
+)
 from fmshift.cli import main
 
 
@@ -34,6 +43,18 @@ class TestSimulate:
         run(["simulate", "circular_sincos", "--n", 10, "--seed", 5, "--out", a])
         run(["simulate", "circular_sincos", "--n", 10, "--seed", 5, "--out", b])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_same_bytes_as_write_curves_csv(self, tmp_path, capsys):
+        out, ref = tmp_path / "sim.csv", tmp_path / "ref.csv"
+        args = ["simulate", "signal_clutter", "--n", 9, "--seed", 4,
+                "--grid-points", 17]
+        assert run(args + ["--out", out]) == 0
+        write_curves_csv(ref, generate(GeneratorSpec("signal_clutter", 9, 4),
+                                       Grid(np.linspace(0.0, 1.0, 17))))
+        assert out.read_bytes() == ref.read_bytes()
+        capsys.readouterr()
+        assert run(args + ["--out", "-"]) == 0
+        assert capsys.readouterr().out == ref.read_text()
 
 
 class TestCluster:
@@ -66,6 +87,16 @@ class TestCluster:
         rc = run(["cluster", "--input", bad, "--bandwidth", 1.0,
                   "--out", tmp_path / "r.txt"])
         assert rc == 2
+
+    def test_non_finite_input_is_exit_2_with_location(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("0.0,0.5,1.0\n1.0,2.0,3.0\n1.0,nan,3.0\n")
+        rc = run(["cluster", "--input", bad, "--bandwidth", 1.0,
+                  "--out", tmp_path / "r.txt"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "category=input" in err
+        assert "row 3, column 2" in err
 
     def test_no_partial_output_on_failure(self, curves_csv, tmp_path):
         out = tmp_path / "report.txt"

@@ -1,7 +1,12 @@
 """Synthetic generators and the fPCA/k-means baseline."""
 
+import time
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmshift import (
     FunctionalSample,
@@ -136,7 +141,48 @@ class TestFpcaKmeans:
             fpca_kmeans(s, n_components=2, k=2, seeds=np.zeros((3, 3)))
 
 
+def accuracy_by_permutations(true_labels, cluster_labels):
+    """Exhaustive search over injective label maps; factorial time."""
+    tvals = sorted(set(true_labels), key=str)
+    cvals = sorted(set(cluster_labels), key=str)
+    counts = {(c, t): 0 for c in cvals for t in tvals}
+    for t, c in zip(true_labels, cluster_labels):
+        counts[(c, t)] += 1
+    best = 0
+    if len(cvals) <= len(tvals):
+        for perm in permutations(tvals, len(cvals)):
+            best = max(best, sum(counts[(c, t)] for c, t in zip(cvals, perm)))
+    else:
+        for perm in permutations(cvals, len(tvals)):
+            best = max(best, sum(counts[(c, t)] for c, t in zip(perm, tvals)))
+    return best / len(true_labels)
+
+
 class TestClusteringAccuracy:
+    @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from("abcde")),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_permutation_search(self, pairs):
+        truth = [t for t, _ in pairs]
+        clus = [c for _, c in pairs]
+        assert clustering_accuracy(truth, clus) == \
+            pytest.approx(accuracy_by_permutations(truth, clus), abs=1e-12)
+
+    def test_many_labels_finish_fast(self):
+        # 12 against 12 labels: 12! injective maps for an exhaustive search
+        rng = np.random.default_rng(0)
+        truth = np.arange(300) % 12
+        relabel = rng.permutation(12)
+        clus = relabel[truth]
+        moved = rng.choice(300, size=20, replace=False)
+        clus[moved] = (clus[moved] + 1 + rng.integers(0, 11, size=20)) % 12
+        t0 = time.perf_counter()
+        acc = clustering_accuracy(truth.tolist(), clus.tolist())
+        assert time.perf_counter() - t0 < 1.0
+        # every true class keeps at least 20 of its 25 curves, so the
+        # relabeling is the best map and only the moved curves disagree
+        assert acc == pytest.approx(280 / 300)
+
     def test_perfect(self):
         assert clustering_accuracy(["a", "a", "b"], [1, 1, 0]) == 1.0
 

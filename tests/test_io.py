@@ -53,6 +53,19 @@ class TestCurvesCSV:
         with pytest.raises(InputFormatError, match="row 2, column 2"):
             read_curves_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"0.0,0.5,1.0\na,1.0,2.0,3.0\nb,1.0,2.0,{cell}\n")
+        with pytest.raises(InputFormatError, match="row 3, column 4"):
+            read_curves_csv(p)
+
+    def test_non_finite_grid_cell(self, tmp_path):
+        p = tmp_path / "nangrid.csv"
+        p.write_text("0.0,nan,1.0\n1.0,2.0,3.0\n")
+        with pytest.raises(InputFormatError, match="row 1, column 2"):
+            read_curves_csv(p)
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "ragged.csv"
         p.write_text("0.0,0.5,1.0\n1.0,2.0\n")

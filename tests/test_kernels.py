@@ -1,5 +1,7 @@
 """Shadow-relation checks for builtin and constructed kernel pairs."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -52,6 +54,15 @@ class TestBuiltinPairs:
         num, _ = integrate.quad(
             lambda t: (np.pi / 2.0) * np.sin(np.pi * t / 2.0) / t, 1e-12, 1.0)
         assert pair.C == pytest.approx(num, rel=1e-6)
+
+    def test_sinc_derivative_at_zero_is_warning_free(self):
+        pair = builtin_pair("sinc_cosine")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pair.k.deriv(0.0) == 0.0
+            d = pair.k.deriv(np.array([0.0, 1e-9, 0.5, 2.0]))
+        assert d[0] == 0.0 and d[3] == 0.0
+        assert d[1] < 0.0 and d[2] < 0.0
 
     def test_compact_support(self):
         for name in BUILTIN_PAIR_NAMES:

@@ -1,0 +1,255 @@
+"""The precomputed linear metric against brute-force per-row oracles.
+
+The references here fit every derivative row by row, the way the package did
+before derivatives became a fixed operator, and integrate with explicit
+trapezoid sums instead of the grid's quadrature weights.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fmshift.function_space as function_space
+from fmshift import (
+    OUTSIDE_SUPPORT,
+    Curve,
+    DensityModel,
+    DerivativeMethod,
+    DistanceSpec,
+    FunctionalSample,
+    Grid,
+    MeanShiftConfig,
+    builtin_pair,
+    cluster,
+    distance,
+    inner_product,
+)
+from fmshift.function_space import Metric
+
+
+def local_poly_reference(values, points, order, degree, bandwidth):
+    """One weighted least-squares polynomial fit per grid point."""
+    n = points.size
+    out = np.empty(n)
+    for i, t0 in enumerate(points):
+        u = points - t0
+        w = np.exp(-0.5 * (u / bandwidth) ** 2)
+        if np.count_nonzero(w > 1e-12) < degree + 1:
+            idx = np.argsort(np.abs(u))[: degree + 1]
+            w = np.zeros(n)
+            w[idx] = 1.0
+        A = np.vander(u, degree + 1, increasing=True)
+        sw = np.sqrt(w)
+        coef, *_ = np.linalg.lstsq(A * sw[:, None], values * sw, rcond=None)
+        out[i] = coef[order] * math.factorial(order)
+    return out
+
+
+def derivative_reference(values, points, order, method):
+    if method.kind == "finite_difference":
+        out = values
+        for _ in range(order):
+            out = np.gradient(out, points)
+        return out
+    return local_poly_reference(values, points, order, method.degree,
+                                method.bandwidth)
+
+
+def components_reference(values, points, spec):
+    if spec.kind == "l2":
+        return [values]
+    if spec.kind == "derivative_l2":
+        return [derivative_reference(values, points, spec.order,
+                                     spec.derivative_method)]
+    return [values, derivative_reference(values, points, 1, spec.derivative_method)]
+
+
+def trapezoid(f, points):
+    return float(np.sum((f[1:] + f[:-1]) / 2.0 * np.diff(points)))
+
+
+def inner_reference(a, b, points, spec):
+    return sum(trapezoid(ca * cb, points)
+               for ca, cb in zip(components_reference(a, points, spec),
+                                 components_reference(b, points, spec)))
+
+
+def distance_reference(a, b, points, spec):
+    return sum(np.sqrt(trapezoid(c * c, points))
+               for c in components_reference(a - b, points, spec))
+
+
+@st.composite
+def metric_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["l2", "derivative_l2", "sobolev_h1"]))
+    order = draw(st.sampled_from([1, 2])) if kind == "derivative_l2" else 1
+    if draw(st.booleans()):
+        method = DerivativeMethod("local_poly", draw(st.integers(2, 3)),
+                                  draw(st.sampled_from([0.02, 0.08, 0.3])))
+    else:
+        method = DerivativeMethod()
+    n_points = draw(st.integers(8, 40))
+    return seed, DistanceSpec(kind, order, method), n_points
+
+
+class TestMetricOracle:
+    @given(metric_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_derivatives_and_trapezoid_sums(self, case):
+        seed, spec, n_points = case
+        rng = np.random.default_rng(seed)
+        pts = np.sort(rng.uniform(0.0, 1.0, n_points))
+        while np.min(np.diff(pts)) < 1e-3:
+            pts = np.sort(rng.uniform(0.0, 1.0, n_points))
+        grid = Grid(pts)
+        V = rng.standard_normal((5, n_points))
+        a, b, x = (rng.standard_normal(n_points) for _ in range(3))
+
+        ref_d = distance_reference(a, b, pts, spec)
+        assert distance(Curve(grid, a), Curve(grid, b), spec) == \
+            pytest.approx(ref_d, rel=1e-10)
+
+        # inner products may cancel to near zero: compare on the
+        # Cauchy-Schwarz scale
+        scale = np.sqrt(inner_reference(a, a, pts, spec)
+                        * inner_reference(b, b, pts, spec))
+        got = inner_product(Curve(grid, a), Curve(grid, b), spec)
+        assert abs(got - inner_reference(a, b, pts, spec)) <= 1e-10 * scale
+
+        model = DensityModel(FunctionalSample.from_matrix(grid, V),
+                             builtin_pair("gaussian_gaussian"), spec,
+                             bandwidth=1.0, normalized=False)
+        ref_pd = np.array([[distance_reference(u, v, pts, spec) for v in V]
+                           for u in V])
+        off = ~np.eye(len(V), dtype=bool)
+        np.testing.assert_allclose(model.pairwise_distances[off], ref_pd[off],
+                                   rtol=1e-10)
+        np.testing.assert_allclose(
+            model.distances_to(Curve(grid, x)),
+            [distance_reference(v, x, pts, spec) for v in V], rtol=1e-10)
+        assert model.ip_norm(Curve(grid, x)) == \
+            pytest.approx(np.sqrt(inner_reference(x, x, pts, spec)), rel=1e-10)
+
+    @pytest.mark.parametrize("spec", [
+        DistanceSpec("l2"),
+        DistanceSpec("derivative_l2", 2),
+        DistanceSpec("sobolev_h1", derivative_method=DerivativeMethod(
+            "local_poly", 3, 0.1)),
+    ])
+    def test_second_order_terms_match_reference_inner_products(self, spec):
+        # the second differential, written with reference inner products:
+        # -C w_G [sum_i k'(t_i)/(h^3 d_i) <X_i-x, y><X_i-x, z> + b' <y, z>]
+        grid = Grid(np.sort(np.random.default_rng(9).uniform(0.0, 1.0, 18)))
+        pts = grid.points
+        rng = np.random.default_rng(2)
+        V = np.sin(np.outer(rng.uniform(1.0, 4.0, 6), pts)) + \
+            0.1 * rng.standard_normal((6, 18))
+        pair = builtin_pair("biweight_triweight")
+        sample = FunctionalSample.from_matrix(grid, V)
+        dmax = DensityModel(sample, pair, spec, normalized=False).max_pairwise_distance
+        h = 0.9 * dmax
+        model = DensityModel(sample, pair, spec, bandwidth=h)
+        x, y, z = (0.2 * rng.standard_normal(18) + V.mean(axis=0) for _ in range(3))
+
+        D = V - x
+        d = np.array([distance_reference(v, x, pts, spec) for v in V])
+        kv, dk = pair.k(d / h), pair.k.deriv(d / h)
+        cw = pair.C * model.w_G
+        coef = dk / (h**3 * d)
+
+        def ip(a, b):
+            return inner_reference(a, b, pts, spec)
+
+        ref_form = -cw * (sum(c * ip(Di, y) * ip(Di, z) for c, Di in zip(coef, D))
+                          + float((kv / h**2).sum()) * ip(y, z))
+        assert model.hessian_form(Curve(grid, x), Curve(grid, y), Curve(grid, z)) \
+            == pytest.approx(ref_form, rel=1e-9)
+
+        b = cw * float((kv / h**2).sum())
+        sw = np.sqrt(-cw * coef)
+        G = np.array([[ip(Di, Dj) for Dj in D] for Di in D])
+        ref_eigen = max(np.linalg.eigvalsh(sw[:, None] * G * sw[None, :])[-1], 0.0) - b
+        assert model.lambda_eigen(Curve(grid, x)) == pytest.approx(ref_eigen, rel=1e-9)
+
+        v = coef @ D
+        scalar = float(((dk * d + dk / d) / h**3 + kv / h**2).sum())
+        ref_paper = cw * (2.0 * np.sqrt(ip(v, v)) - scalar)
+        assert model.lambda_paper(Curve(grid, x)) == pytest.approx(ref_paper, rel=1e-9)
+
+    def test_l2_components_are_the_values(self):
+        # the l2 metric applies no operator, not even an identity matmul
+        grid = Grid(np.linspace(0.0, 1.0, 9))
+        V = np.arange(18.0).reshape(2, 9)
+        assert Metric(grid, DistanceSpec()).components(V)[0] is V
+
+    @pytest.mark.parametrize("spec", [
+        DistanceSpec("sobolev_h1", derivative_method=DerivativeMethod(
+            "local_poly", 2, 0.1)),
+        DistanceSpec("derivative_l2", 2),
+    ])
+    def test_queries_fit_no_derivatives(self, spec, monkeypatch):
+        grid = Grid(np.linspace(0.0, 1.0, 20))
+        rng = np.random.default_rng(4)
+        sample = FunctionalSample.from_matrix(grid, rng.standard_normal((6, 20)))
+        pair = builtin_pair("gaussian_gaussian")
+        dmax = DensityModel(sample, pair, spec, normalized=False).max_pairwise_distance
+        model = DensityModel(sample, pair, spec, bandwidth=2.0 * dmax)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("derivative estimated after model construction")
+
+        monkeypatch.setattr(function_space, "_derivative_matrix", refuse)
+        x, y = (Curve(grid, 0.3 * rng.standard_normal(20)) for _ in range(2))
+        model.distances_to(x)
+        model.mean_shift_vector(x)
+        model.ip_norm(model.gradient(x))
+        model.hessian_form(x, y, y)
+        model.lambda_eigen(x)
+        model.lambda_paper(x)
+        cluster(model, MeanShiftConfig(max_iters=20))
+
+
+def first_appearance_ordered(labels):
+    seen = []
+    for a in labels:
+        if a != OUTSIDE_SUPPORT and a not in seen:
+            seen.append(a)
+    return seen == list(range(len(seen)))
+
+
+class TestClusterPartition:
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(["l2", "derivative_l2", "sobolev_h1"]))
+    @settings(max_examples=20, deadline=None)
+    def test_invariant_under_permutation(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        grid = Grid(np.linspace(0.0, 1.0, 12))
+        t = grid.points
+        shapes = [np.zeros(12), 3.0 + 0.0 * t, np.sin(2 * np.pi * t) * 4.0]
+        groups = rng.integers(0, 3, size=15)
+        rows = [shapes[g] + 0.1 * rng.standard_normal(12) for g in groups]
+        rows.append(np.full(12, 40.0))  # an isolated curve, atomic
+        V = np.array(rows)
+        perm = rng.permutation(len(V))
+        pair = builtin_pair("gaussian_gaussian")
+        spec = DistanceSpec(kind)
+        cfg = MeanShiftConfig(seed=1)
+
+        def partition(M):
+            model = DensityModel(FunctionalSample.from_matrix(grid, M), pair,
+                                 spec, bandwidth=1.5, normalized=False)
+            return cluster(model, cfg).assignments
+
+        base = partition(V)
+        permuted = partition(V[perm])
+        assert first_appearance_ordered(base)
+        assert first_appearance_ordered(permuted)
+        # same partition up to relabeling: a bijection between the labels
+        mapping = {}
+        for k, i in enumerate(perm):
+            assert mapping.setdefault(base[i], permuted[k]) == permuted[k]
+        assert len(set(mapping.values())) == len(mapping)

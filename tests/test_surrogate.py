@@ -1,5 +1,7 @@
 """Density model differentials against finite-difference and brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -319,6 +321,14 @@ class TestLambdaOracle:
         x = model.sample.curves[0]
         assert np.isfinite(model.lambda_eigen(x))
         assert np.isfinite(model.lambda_paper(x))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sinc_lambda_at_sample_point_is_warning_free(self, seed):
+        model, _, _, _ = random_instance(seed, kernel="sinc_cosine")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in model.sample.curves:
+                assert np.isfinite(model.lambda_eigen(x))
 
 
 class TestCompactSupport:
