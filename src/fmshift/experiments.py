@@ -198,6 +198,8 @@ def clustering_accuracy(true_labels, cluster_labels) -> float:
     cluster_labels = list(cluster_labels)
     if len(true_labels) != len(cluster_labels):
         raise ValueError("label lists differ in length")
+    if not true_labels:
+        raise ValueError("label lists are empty")
     tidx = {t: j for j, t in enumerate(set(true_labels))}
     cidx = {c: i for i, c in enumerate(set(cluster_labels))}
     counts = np.zeros((len(cidx), len(tidx)), dtype=int)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +57,8 @@ class Grid:
         return self.points.size
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Grid):
             return NotImplemented
         return self.points.shape == other.points.shape and np.array_equal(
@@ -65,7 +68,7 @@ class Grid:
     def __hash__(self):
         return hash((self.points.size, float(self.points[0]), float(self.points[-1])))
 
-    @property
+    @cached_property
     def quad_weights(self) -> np.ndarray:
         """Trapezoid-rule weights; ``w @ f`` approximates the integral of f."""
         d = np.diff(self.points)

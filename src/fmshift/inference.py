@@ -17,7 +17,7 @@ import numpy as np
 from .engine import MeanShiftConfig, ModeSet, cluster
 from .function_space import Curve, DistanceSpec, FunctionalSample
 from .kernels import KernelPair
-from .surrogate import BandwidthRule, DensityModel
+from .surrogate import BandwidthRule, DensityModel, NormalizerError
 
 __all__ = [
     "TestConfig",
@@ -62,7 +62,12 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class ModeRecord:
-    """Per-candidate-mode bootstrap summary."""
+    """Per-candidate-mode bootstrap summary.
+
+    ``n_retries`` is always 0: a replicate is never redrawn (a non-finite
+    statistic is an error). The field stays because report format v1 has an
+    ``n_retries`` column and readers of the record use it.
+    """
 
     mode: Curve
     observed: dict  # statistic name -> value on the full second subsample
@@ -115,7 +120,7 @@ def _split(sample: FunctionalSample, cfg: TestConfig, rng: np.random.Generator):
     return sample.subset(idx[:cut].tolist()), sample.subset(idx[cut:].tolist())
 
 
-def _resolve_bandwidth(bandwidth, subsample1: FunctionalSample, pair, distance):
+def _resolve_bandwidth(bandwidth, subsample1: FunctionalSample):
     """Bandwidth may be a number, a BandwidthRule, or a callable evaluated on
     the mode-hunting subsample (e.g. a percentile of its pairwise distances)."""
     if callable(bandwidth) and not isinstance(bandwidth, BandwidthRule):
@@ -125,6 +130,21 @@ def _resolve_bandwidth(bandwidth, subsample1: FunctionalSample, pair, distance):
             raise ValueError("the mode test uses a fixed bandwidth")
         return float(bandwidth.h)
     return float(bandwidth)
+
+
+def _statistics(model: DensityModel, modes: dict, where: str) -> dict:
+    """{statistic name: [value at each mode]} for ``modes``, a dict from
+    candidate index to mode. A non-finite value raises; it is never redrawn,
+    since a redraw would condition the bootstrap distribution on finiteness."""
+    out = {}
+    for name in STATISTICS:
+        row = [float(getattr(model, name)(mode)) for mode in modes.values()]
+        for j, v in zip(modes, row):
+            if not np.isfinite(v):
+                raise FloatingPointError(
+                    f"{name} is {v} at candidate mode {j} {where}")
+        out[name] = row
+    return out
 
 
 def test_modes(sample: FunctionalSample, pair: KernelPair,
@@ -150,7 +170,7 @@ def test_modes(sample: FunctionalSample, pair: KernelPair,
 
     rng = np.random.default_rng(seed)
     sub1, sub2 = _split(sample, t_cfg, rng)
-    h = _resolve_bandwidth(bandwidth, sub1, pair, distance)
+    h = _resolve_bandwidth(bandwidth, sub1)
 
     stage1 = DensityModel(sub1, pair, distance, bandwidth=h, normalized=False)
     candidates = cluster(stage1, ms_cfg)
@@ -166,53 +186,37 @@ def test_modes(sample: FunctionalSample, pair: KernelPair,
     r = len(tested)
     level = 1.0 - t_cfg.alpha / r
     n2 = len(sub2)
-    full2 = DensityModel(sub2, pair, distance, bandwidth=h, normalized=True)
-    mat2 = sub2.matrix
+    try:
+        full2 = DensityModel(sub2, pair, distance, bandwidth=h, normalized=True)
+    except NormalizerError as exc:
+        raise NormalizerError(
+            f"mode test second half ({n2} curves) at bandwidth h={h:.6g}: {exc}"
+        ) from exc
 
+    modes = {j: candidates.modes[j] for j in tested}
+    observed = _statistics(full2, modes, "on the second half")
     reps = {name: np.empty((r, t_cfg.n_boot)) for name in STATISTICS}
-    retries = [0] * r
-    modes = [candidates.modes[j] for j in tested]
     # one independent substream per replicate so parallel evaluation could
     # never change the result
     seeds = rng.integers(0, 2**63 - 1, size=t_cfg.n_boot)
     for b in range(t_cfg.n_boot):
-        brng = np.random.default_rng(seeds[b])
-        for attempt in range(100):
-            idx = brng.integers(0, n2, size=n2)
-            boot = FunctionalSample.from_matrix(sample.grid, mat2[idx])
-            model = DensityModel(boot, pair, distance, bandwidth=h,
-                                 normalized=True)
-            vals = {}
-            ok = True
-            for name in STATISTICS:
-                row = [getattr(model, name)(mode) for mode in modes]
-                if not all(np.isfinite(v) for v in row):
-                    ok = False
-                    break
-                vals[name] = row
-            if ok:
-                break
-            for i in range(r):
-                retries[i] += 1
-        else:
-            raise RuntimeError("could not obtain a finite bootstrap replicate")
-        for name in STATISTICS:
-            reps[name][:, b] = vals[name]
+        idx = np.random.default_rng(seeds[b]).integers(0, n2, size=n2)
+        model = DensityModel(sub2.subset(idx), pair, distance, bandwidth=h,
+                             normalized=True)
+        for name, row in _statistics(model, modes, f"in replicate {b}").items():
+            reps[name][:, b] = row
 
     records = []
-    for i, (j, mode) in enumerate(zip(tested, modes)):
-        observed = {name: float(getattr(full2, name)(mode))
-                    for name in STATISTICS}
+    for i, mode in enumerate(modes.values()):
         ci = bootstrap_ci(reps[t_cfg.statistic][i], level)
-        significant = ci[1] < 0.0
         records.append(ModeRecord(
             mode=mode,
-            observed=observed,
+            observed={name: observed[name][i] for name in STATISTICS},
             ci=ci,
             ci_level=level,
-            significant=significant,
+            significant=ci[1] < 0.0,
             replicates={name: reps[name][i].copy() for name in STATISTICS},
-            n_retries=retries[i],
+            n_retries=0,
         ))
     return ModeTestReport(candidates, tuple(records), tuple(tested),
                           t_cfg.statistic, t_cfg.alpha, t_cfg.n_boot, h)

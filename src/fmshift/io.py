@@ -16,13 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .function_space import (
-    Curve,
-    DerivativeMethod,
-    FunctionalSample,
-    Grid,
-    estimate_derivative,
-)
+from . import function_space
+from .function_space import Curve, DerivativeMethod, FunctionalSample, Grid
 
 __all__ = [
     "InputFormatError",
@@ -229,14 +224,11 @@ def tangential_acceleration(sig: SignatureRecord, grid: Grid,
     if span <= 0:
         raise InputFormatError("signature has zero time span")
     s = (sig.t - sig.t[0]) / span
-    xr = np.interp(grid.points, s, sig.x)
-    yr = np.interp(grid.points, s, sig.y)
-
-    xc, yc = Curve(grid, xr), Curve(grid, yr)
-    dx = estimate_derivative(xc, 1, method).values
-    dy = estimate_derivative(yc, 1, method).values
-    d2x = estimate_derivative(xc, 2, method).values
-    d2y = estimate_derivative(yc, 2, method).values
+    xy = np.stack([np.interp(grid.points, s, sig.x),
+                   np.interp(grid.points, s, sig.y)])
+    # x and y are differentiated together: one derivative operator per order
+    dx, dy = function_space._derivative_matrix(xy, grid.points, 1, method)
+    d2x, d2y = function_space._derivative_matrix(xy, grid.points, 2, method)
 
     speed = np.hypot(dx, dy)
     thresh = 1e-9 * max(float(speed.max()), 1e-300)

@@ -240,42 +240,34 @@ class DensityModel:
             )
         return c0
 
-    def hessian_form(self, x: Curve, y: Curve, z: Curve) -> float:
-        """Second Gateaux differential of p~ at x evaluated at (y, z)."""
-        DF, d = self._diff(x)
-        yF, zF = self._components(y), self._components(z)
-        h = self._h
-        t = d / h
-        kv = self.pair.k(t)
-        dk = self.pair.k.deriv(t)
-        ip_y = self.metric.gram(DF, yF)[:, 0]
-        ip_z = self.metric.gram(DF, zF)[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pair_coef = np.where(d > 0.0, dk / (h**3 * np.where(d > 0.0, d, 1.0)), 0.0)
-        if np.any((d == 0.0) & (dk != 0.0)):
-            self._curvature_limit()  # raises if the limit is unavailable
-        pair_term = float((pair_coef * ip_y * ip_z).sum())
-        ip_yz = float(self.metric.gram(yF, zF)[0, 0])
-        dens_term = float((kv / h**2).sum()) * ip_yz
-        return -self.pair.C * self.w_G * (pair_term + dens_term)
+    def _curvature_terms(self, x: Curve) -> tuple:
+        """DF, d, k(d/h), k'(d/h) and k'(d/h)/d for the rows X_i - x.
 
-    def _lambda_terms(self, x: Curve):
+        k'(d/h)/d is set to 0 where d = 0. A zero distance with k'(0) != 0
+        needs the profile limit lim k'(t)/t and raises if it is unavailable.
+        """
         DF, d = self._diff(x)
-        h = self._h
-        t = d / h
+        t = d / self._h
         kv = self.pair.k(t)
         dk = self.pair.k.deriv(t)
         zero = d == 0.0
         if np.any(zero & (dk != 0.0)):
-            self._curvature_limit()
+            self._curvature_limit()  # raises if the limit is unavailable
         with np.errstate(divide="ignore", invalid="ignore"):
             dk_over_d = np.where(zero, 0.0, dk / np.where(zero, 1.0, d))
-        # limit of k'(d/h)/d as d -> 0 is curvature0/h; used only where the
-        # accompanying factor does not already vanish
-        c0 = None
-        if np.any(zero):
-            c0 = self._curvature_limit()
-        return DF, d, h, kv, dk, dk_over_d, zero, c0
+        return DF, d, kv, dk, dk_over_d
+
+    def hessian_form(self, x: Curve, y: Curve, z: Curve) -> float:
+        """Second Gateaux differential of p~ at x evaluated at (y, z)."""
+        DF, _, kv, _, dk_over_d = self._curvature_terms(x)
+        yF, zF = self._components(y), self._components(z)
+        h = self._h
+        ip_y = self.metric.gram(DF, yF)[:, 0]
+        ip_z = self.metric.gram(DF, zF)[:, 0]
+        pair_term = float((dk_over_d / h**3 * ip_y * ip_z).sum())
+        ip_yz = float(self.metric.gram(yF, zF)[0, 0])
+        dens_term = float((kv / h**2).sum()) * ip_yz
+        return -self.pair.C * self.w_G * (pair_term + dens_term)
 
     def lambda_eigen(self, x: Curve) -> float:
         """sup over unit y of the second differential, by eigendecomposition.
@@ -284,7 +276,8 @@ class DensityModel:
         w_i >= 0, so the supremum is the largest eigenvalue of the Gram-reduced
         rank-n operator minus b.
         """
-        DF, d, h, kv, dk, dk_over_d, zero, _ = self._lambda_terms(x)
+        DF, _, kv, _, dk_over_d = self._curvature_terms(x)
+        h = self._h
         cw = self.pair.C * self.w_G
         b = cw * float((kv / h**2).sum())
         wts = -cw * dk_over_d / h**3  # >= 0 since k' <= 0
@@ -304,15 +297,15 @@ class DensityModel:
         Kept alongside ``lambda_eigen`` for comparison; the two need not agree
         (see README) and reports carry both.
         """
-        DF, d, h, kv, dk, dk_over_d, zero, c0 = self._lambda_terms(x)
+        DF, d, kv, dk, dk_over_d = self._curvature_terms(x)
+        h = self._h
         cw = self.pair.C * self.w_G
         vec_coef = dk_over_d / h**3
         vnorm = self._norm(tuple((vec_coef @ c)[None, :] for c in DF))
         # scalar sum: (1/h^2) [ (1/h) k'(d/h) (d + 1/d) + k(d/h) ]; at d = 0
         # the k'd term vanishes and k'/d takes its continuity-extension limit
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kprime_over_d = np.where(zero,
-                                     (c0 / h if c0 is not None else 0.0),
-                                     dk / np.where(zero, 1.0, d))
-        scalar = float(((dk * d + kprime_over_d) / h**3 + kv / h**2).sum())
+        zero = d == 0.0
+        if np.any(zero):
+            dk_over_d = np.where(zero, self._curvature_limit() / h, dk_over_d)
+        scalar = float(((dk * d + dk_over_d) / h**3 + kv / h**2).sum())
         return cw * (2.0 * vnorm - scalar)

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+import fmshift.cli
 from fmshift import (
+    DensityModel,
     GeneratorSpec,
     Grid,
+    OutsideSupportError,
     SignatureRecord,
+    SingularEvaluationError,
     generate,
     parse_report,
     read_curves_csv,
@@ -98,6 +102,20 @@ class TestCluster:
         assert "category=input" in err
         assert "row 3, column 2" in err
 
+    @pytest.mark.parametrize("error", [OutsideSupportError,
+                                       SingularEvaluationError])
+    def test_numeric_errors_are_exit_3(self, error, curves_csv, tmp_path,
+                                       monkeypatch, capsys):
+        # both subclass ValueError, yet they are numeric failures, not input ones
+        def fail(*args, **kwargs):
+            raise error("numeric trouble")
+
+        monkeypatch.setattr(fmshift.cli, "cluster", fail)
+        rc = run(["cluster", "--input", curves_csv, "--bandwidth-frac", 0.3,
+                  "--out", tmp_path / "o.txt"])
+        assert rc == 3
+        assert "category=numeric: numeric trouble" in capsys.readouterr().err
+
     def test_no_partial_output_on_failure(self, curves_csv, tmp_path):
         out = tmp_path / "report.txt"
         out.write_text("previous contents")
@@ -130,6 +148,33 @@ class TestTestModes:
         assert rep.mode_test is not None
         assert rep.mode_test.n_boot == 100
         assert parse_report(rep.to_text()) == rep
+
+    def test_second_half_normalizer_error_is_exit_3(self, tmp_path, capsys):
+        # the second half (5.01, 100, 200) has no pair within reach of h = 1
+        path = tmp_path / "levels.csv"
+        rows = [",".join(str(x) for x in np.linspace(0, 1, 8))]
+        for level in (0.0, 0.01, 5.0, 5.01, 100.0, 200.0):
+            rows.append(",".join(str(level) for _ in range(8)))
+        path.write_text("\n".join(rows) + "\n")
+        rc = run(["test-modes", "--input", path, "--bandwidth", 1.0,
+                  "--kernel", "uniform_epanechnikov", "--boot", 100,
+                  "--out", tmp_path / "tm.txt"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "category=numeric" in err
+        assert "second half (3 curves) at bandwidth h=1:" in err
+
+    def test_non_finite_statistic_is_exit_3(self, curves_csv, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.setattr(DensityModel, "lambda_paper",
+                            lambda self, x: float("nan"))
+        rc = run(["test-modes", "--input", curves_csv,
+                  "--bandwidth-percentile", 41, "--boot", 100,
+                  "--out", tmp_path / "tm.txt"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "category=numeric" in err and "lambda_paper is nan" in err
+        assert not (tmp_path / "tm.txt").exists()
 
     def test_numeric_failure_is_exit_3(self, tmp_path):
         # curves too far apart for the bandwidth: stage 2 normalizers vanish

@@ -201,6 +201,10 @@ class TestClusteringAccuracy:
         with pytest.raises(ValueError):
             clustering_accuracy([1, 2], [1])
 
+    def test_empty_label_lists(self):
+        with pytest.raises(ValueError, match="label lists are empty"):
+            clustering_accuracy([], [])
+
     def test_label_names_do_not_matter(self):
         a = clustering_accuracy(["x", "y", "y"], [5, 9, 9])
         b = clustering_accuracy([0, 1, 1], ["p", "q", "q"])

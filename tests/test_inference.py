@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from fmshift import FunctionalSample, Grid, MeanShiftConfig, bootstrap_ci, builtin_pair
+from fmshift import (
+    DensityModel,
+    DerivativeMethod,
+    DistanceSpec,
+    FunctionalSample,
+    Grid,
+    MeanShiftConfig,
+    NormalizerError,
+    bootstrap_ci,
+    builtin_pair,
+)
 from fmshift import TestConfig as ModeTestConfig
 from fmshift import test_modes as run_mode_test
-from fmshift.inference import _split
+from fmshift.inference import STATISTICS, _split
 
 GRID = Grid(np.linspace(0.0, 1.0, 21))
 
@@ -96,6 +106,7 @@ class TestModeSignificance:
             assert rec.ci_level == pytest.approx(1.0 - 0.05 / 2)
             assert set(rec.replicates) == {"lambda_eigen", "lambda_paper"}
             assert rec.replicates["lambda_eigen"].size == 200
+            assert rec.n_retries == 0  # replicates are never redrawn
 
     def test_reproducible(self):
         sample = two_blob_sample(seed=3)
@@ -167,3 +178,85 @@ class TestModeSignificance:
                             seed=3)
         for rec in report.records:
             assert rec.observed["lambda_eigen"] < 0.0
+
+
+def rebuild_per_replicate(sample, pair, distance, h, modes, n_boot, seed):
+    """Reference bootstrap: every replicate copies its rows out of the second
+    half and rebuilds a sample and a model from them (same seed stream)."""
+    rng = np.random.default_rng(seed)
+    _, sub2 = _split(sample, ModeTestConfig(n_boot=n_boot), rng)
+    seeds = rng.integers(0, 2**63 - 1, size=n_boot)
+    n2 = len(sub2)
+    reps = {name: np.empty((len(modes), n_boot)) for name in STATISTICS}
+    for b in range(n_boot):
+        idx = np.random.default_rng(seeds[b]).integers(0, n2, size=n2)
+        boot = FunctionalSample.from_matrix(sample.grid, sub2.matrix[idx])
+        model = DensityModel(boot, pair, distance, bandwidth=h, normalized=True)
+        for name in STATISTICS:
+            reps[name][:, b] = [getattr(model, name)(m) for m in modes]
+    return reps
+
+
+def median_distance(distance):
+    def bw(sub1):
+        model = DensityModel(sub1, builtin_pair("gaussian_gaussian"), distance,
+                             normalized=False)
+        off = ~np.eye(len(sub1), dtype=bool)
+        return float(np.median(model.pairwise_distances[off]))
+    return bw
+
+
+class TestReplicatesAsIndexViews:
+    @pytest.mark.parametrize("distance", [
+        DistanceSpec("l2"),
+        DistanceSpec("sobolev_h1",
+                     derivative_method=DerivativeMethod("local_poly", 2, 0.1)),
+    ], ids=["l2", "sobolev_h1_local_poly"])
+    def test_matches_rebuild_per_replicate(self, distance):
+        sample = two_blob_sample(seed=5)
+        pair = builtin_pair("gaussian_gaussian")
+        report = run_mode_test(sample, pair, distance,
+                               bandwidth=median_distance(distance),
+                               t_cfg=ModeTestConfig(n_boot=100), seed=11)
+        assert report.records
+        modes = [rec.mode for rec in report.records]
+        want = rebuild_per_replicate(sample, pair, distance, report.bandwidth,
+                                     modes, 100, 11)
+        for i, rec in enumerate(report.records):
+            for name in STATISTICS:
+                assert np.array_equal(rec.replicates[name], want[name][i])
+
+
+def separated_levels():
+    # the first half (0, 0.01, 5) has a close pair and so a non-atomic mode;
+    # the second half (5.01, 100, 200) has no pair within reach of h = 1
+    levels = [0.0, 0.01, 5.0, 5.01, 100.0, 200.0]
+    return FunctionalSample.from_matrix(
+        GRID, np.array(levels)[:, None] * np.ones(len(GRID)))
+
+
+class TestModeTestFailures:
+    def test_second_half_normalizer_error_names_the_second_half(self):
+        with pytest.raises(NormalizerError,
+                           match=r"second half \(3 curves\) at bandwidth h=1:"):
+            run_mode_test(separated_levels(), builtin_pair("uniform_epanechnikov"),
+                          bandwidth=1.0, t_cfg=ModeTestConfig(n_boot=100))
+
+    def test_non_finite_statistic_is_an_error_not_a_redraw(self, monkeypatch):
+        sample, pair = two_blob_sample(), builtin_pair("gaussian_gaussian")
+        cfg = ModeTestConfig(n_boot=100)
+        r = len(run_mode_test(sample, pair, bandwidth=2.0, t_cfg=cfg).records)
+        assert r > 0
+        real, calls = DensityModel.lambda_paper, []
+
+        def paper(self, x):
+            # finite on the second half, non-finite from the first replicate on
+            calls.append(x)
+            return float("nan") if len(calls) > r else real(self, x)
+
+        monkeypatch.setattr(DensityModel, "lambda_paper", paper)
+        with pytest.raises(FloatingPointError,
+                           match=r"lambda_paper is nan at candidate mode \d+ "
+                                 r"in replicate 0"):
+            run_mode_test(sample, pair, bandwidth=2.0, t_cfg=cfg)
+        assert len(calls) == 2 * r  # replicate 0 was not redrawn

@@ -15,6 +15,7 @@ from fmshift import (
     read_curves_csv,
     read_signature,
     read_signature_dir,
+    estimate_derivative,
     tangential_acceleration,
     write_curves_csv,
     write_signature,
@@ -161,6 +162,22 @@ class TestTangentialAcceleration:
                                     DerivativeMethod("local_poly", 2, 0.05))
         w = GRID.quad_weights
         assert np.dot(s.values * w, s.values) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("method", [DerivativeMethod(),
+                                        DerivativeMethod("local_poly", 2, 0.05)])
+    def test_matches_per_coordinate_derivatives(self, method):
+        # oracle: x and y differentiated one curve at a time
+        sig = toy_signature(n=200)
+        s = (sig.t - sig.t[0]) / (sig.t[-1] - sig.t[0])
+        xc = Curve(GRID, np.interp(GRID.points, s, sig.x))
+        yc = Curve(GRID, np.interp(GRID.points, s, sig.y))
+        dx, dy, d2x, d2y = (estimate_derivative(c, m, method).values
+                            for m in (1, 2) for c in (xc, yc))
+        speed = np.hypot(dx, dy)
+        accel = (d2x * dx + d2y * dy) / speed
+        accel /= np.sqrt(np.dot(accel * GRID.quad_weights, accel))
+        got = tangential_acceleration(sig, GRID, method).values
+        assert np.allclose(got, accel, rtol=1e-10, atol=1e-12)
 
     def test_parabola_constant_feature(self):
         # x(t) = t^2, y = 0: speed 2t, acceleration 2 along the motion
