@@ -66,6 +66,27 @@ def _find_plateaus(counts: np.ndarray, min_len: int):
     return plateaus
 
 
+def _max_distance(sample: FunctionalSample, pair: KernelPair,
+                  distance: DistanceSpec) -> float:
+    """The largest pairwise distance, the unit of a relative bandwidth.
+
+    Raises ValueError when it is zero up to the rounding of the Gram-form
+    distances (up to about 5e-8 of the largest curve norm, so 1e-6 leaves a
+    margin): the curves are then identical under the distance and no
+    relative bandwidth exists.
+    """
+    ref = DensityModel(sample, pair, distance, bandwidth=1.0, normalized=False)
+    dmax = ref.max_pairwise_distance
+    norm = float(np.sqrt(np.diag(ref.metric.gram(ref._F, ref._F)).max()))
+    if dmax <= 1e-6 * norm:
+        raise ValueError(
+            f"the curves are identical under the {distance.kind} distance "
+            f"(largest pairwise distance {dmax:.3g} at curve norm {norm:.3g}); "
+            "a bandwidth relative to it does not exist"
+        )
+    return dmax
+
+
 def scan(sample: FunctionalSample, pair: KernelPair,
          distance: DistanceSpec | None = None,
          spec: ScanSpec | None = None,
@@ -77,8 +98,7 @@ def scan(sample: FunctionalSample, pair: KernelPair,
     cfg = cfg or MeanShiftConfig()
     distance = distance or DistanceSpec()
 
-    ref = DensityModel(sample, pair, distance, bandwidth=1.0, normalized=False)
-    dmax = ref.max_pairwise_distance
+    dmax = _max_distance(sample, pair, distance)
     hs = np.linspace(spec.lo_frac, spec.hi_frac, spec.n_values) * dmax
 
     nonatomic = np.empty(spec.n_values, dtype=int)

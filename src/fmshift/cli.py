@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandwidth import ScanSpec, scan
+from .bandwidth import ScanSpec, _max_distance, scan
 from .engine import MeanShiftConfig, cluster
 from .experiments import GeneratorSpec, fpca_kmeans, generate
 from .function_space import DerivativeMethod, DistanceSpec, FunctionalSample, Grid
@@ -49,7 +49,11 @@ def _write_atomic(path: str | None, text: str) -> None:
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=str(target.parent or Path(".")),
                                prefix=target.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        # mkstemp creates 0600; give the mode a plain open(path, "w") gives
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, target)
@@ -121,9 +125,16 @@ def _load_sample(args):
     entries = read_signature_dir(args.signatures)
     curves, labels, digests = [], [], {}
     for name, record in entries:
-        curves.append(tangential_acceleration(record, grid, method))
+        path = Path(args.signatures) / name
+        if name.splitlines() != [name]:
+            # the name becomes a report key, and a report line holds one key
+            raise InputFormatError(f"{str(path)!r}: file name contains a line break")
+        try:
+            curves.append(tangential_acceleration(record, grid, method))
+        except (InputFormatError, DegenerateFeatureError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         labels.append(name)
-        digests[f"input:{name}"] = file_digest(Path(args.signatures) / name)
+        digests[f"input:{name}"] = file_digest(path)
     return FunctionalSample(grid, tuple(curves), tuple(labels)), digests
 
 
@@ -138,8 +149,7 @@ def _engine_cfg(args) -> MeanShiftConfig:
 def _absolute_bandwidth(args, sample, pair, spec) -> float:
     if args.bandwidth is not None:
         return args.bandwidth
-    ref = DensityModel(sample, pair, spec, bandwidth=1.0, normalized=False)
-    return args.bandwidth_frac * ref.max_pairwise_distance
+    return args.bandwidth_frac * _max_distance(sample, pair, spec)
 
 
 def _provenance(args, digests) -> dict:
@@ -148,12 +158,8 @@ def _provenance(args, digests) -> dict:
     return prov
 
 
-def _config_echo(args, keys) -> dict:
-    return {k: str(getattr(args, k.replace("-", "_"))) for k in keys}
-
-
-def _mode_report(args, sample, modes, digests, scan_table=None,
-                 test_table=None, extra_config=None) -> RunReport:
+def _mode_report(args, sample, modes, digests, test_table=None,
+                 extra_config=None) -> RunReport:
     config = {
         "kernel": args.kernel,
         "distance": args.distance,
@@ -169,7 +175,6 @@ def _mode_report(args, sample, modes, digests, scan_table=None,
         assignments=tuple(modes.assignments),
         atomic_flags=tuple(modes.atomic_flags),
         stability_flags=tuple(modes.stability_flags),
-        scan=scan_table,
         mode_test=test_table,
     )
 
@@ -226,11 +231,8 @@ def _cmd_test_modes(args) -> int:
             off = ~np.eye(n, dtype=bool)
             return float(np.percentile(ref.pairwise_distances[off], _pct))
         bandwidth = bw
-    elif args.bandwidth_frac is not None:
-        ref = DensityModel(sample, pair, spec, bandwidth=1.0, normalized=False)
-        bandwidth = args.bandwidth_frac * ref.max_pairwise_distance
     else:
-        bandwidth = args.bandwidth
+        bandwidth = _absolute_bandwidth(args, sample, pair, spec)
 
     t_cfg = TestConfig(alpha=args.alpha, n_boot=args.boot,
                        statistic=args.statistic, split_rule=args.split)

@@ -152,6 +152,7 @@ def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
 
     assignments = [OUTSIDE_SUPPORT] * len(starts)
     modes: list[Curve] = []
+    atomic: list[bool] = []
     if in_support:
         terminals = np.array([trajectories[i].terminal.values for i in in_support])
         F = model.metric.components(terminals)
@@ -168,12 +169,7 @@ def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
             if tr.destination != OUTSIDE_SUPPORT else tr
             for i, tr in enumerate(trajectories)
         ]
-
-    sizes = [0] * len(modes)
-    for a in assignments:
-        if a != OUTSIDE_SUPPORT:
-            sizes[a] += 1
-    atomic = [s == 1 for s in sizes]
+        atomic = (np.bincount(labels, minlength=n_modes) == 1).tolist()
 
     rng = np.random.default_rng(cfg.seed)
     stability = []
@@ -202,15 +198,14 @@ def _distance_between(model: DensityModel, a: Curve, b: Curve) -> float:
 def blurring_pass(model: DensityModel) -> FunctionalSample:
     """One synchronous mean-shift update of every sample curve.
 
+    Each curve moves to the k-weighted mean of the sample around it; a curve
+    with no sample curve within reach, itself included, stays where it is.
     The model's stored sample is left untouched; repeated passes require
     building a new model from the returned sample.
     """
-    new_curves = []
-    for c in model.sample.curves:
-        try:
-            m = model.mean_shift_vector(c)
-        except OutsideSupportError:
-            new_curves.append(c)
-            continue
-        new_curves.append(c + m)
-    return FunctionalSample(model.grid, tuple(new_curves), model.sample.labels)
+    W = model._ms_weights(model.pairwise_distances)  # column j moves curve j
+    tot = W.sum(axis=0)
+    moved = tot > 0.0
+    out = model._V.copy()
+    out[moved] = (W[:, moved].T @ model._V) / tot[moved, None]
+    return FunctionalSample.from_matrix(model.grid, out, model.sample.labels)

@@ -17,7 +17,7 @@ import numpy as np
 from .engine import MeanShiftConfig, ModeSet, cluster
 from .function_space import Curve, DistanceSpec, FunctionalSample
 from .kernels import KernelPair
-from .surrogate import BandwidthRule, DensityModel, NormalizerError
+from .surrogate import DensityModel, NormalizerError
 
 __all__ = [
     "TestConfig",
@@ -121,14 +121,10 @@ def _split(sample: FunctionalSample, cfg: TestConfig, rng: np.random.Generator):
 
 
 def _resolve_bandwidth(bandwidth, subsample1: FunctionalSample):
-    """Bandwidth may be a number, a BandwidthRule, or a callable evaluated on
-    the mode-hunting subsample (e.g. a percentile of its pairwise distances)."""
-    if callable(bandwidth) and not isinstance(bandwidth, BandwidthRule):
+    """Bandwidth may be a number or a callable evaluated on the mode-hunting
+    subsample (e.g. a percentile of its pairwise distances)."""
+    if callable(bandwidth):
         return float(bandwidth(subsample1))
-    if isinstance(bandwidth, BandwidthRule):
-        if bandwidth.kind != "fixed":
-            raise ValueError("the mode test uses a fixed bandwidth")
-        return float(bandwidth.h)
     return float(bandwidth)
 
 

@@ -38,7 +38,7 @@ class InputFormatError(ValueError):
 
 
 class DegenerateFeatureError(ValueError):
-    """The extracted feature curve is identically zero and cannot be normalized."""
+    """The extracted feature curve is zero up to rounding and cannot be normalized."""
 
 
 def _fmt(x: float) -> str:
@@ -250,8 +250,12 @@ def tangential_acceleration(sig: SignatureRecord, grid: Grid,
 
     w = grid.quad_weights
     nrm = float(np.sqrt(max(np.dot(accel * w, accel), 0.0)))
-    if nrm <= 1e-12 * max(float(np.abs(accel).max()), 1.0) or nrm == 0.0:
+    # relative to the stroke's speed: a constant-speed straight stroke leaves
+    # rounding noise of about 1e-13 of its speed, real pen traces give ~1
+    vmax = float(speed.max())
+    if nrm <= 1e-8 * vmax:
         raise DegenerateFeatureError(
-            "tangential acceleration is identically zero; cannot normalize"
+            f"tangential acceleration is zero up to rounding (norm {nrm:.3g} "
+            f"at maximum speed {vmax:.3g}); cannot normalize"
         )
     return Curve(grid, accel / nrm)

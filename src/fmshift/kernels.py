@@ -13,6 +13,7 @@ fixed by C).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,23 @@ class ShadowRelationError(ValueError):
     """The proposed shadow profile violates the conditions of the relation."""
 
 
+def _on_support(t, f):
+    """f(t) on the support t <= 1 and zero outside; a float for a scalar t."""
+    t = np.asarray(t, dtype=float)
+    inside = t <= 1.0
+    out = np.zeros(t.shape)
+    if np.any(inside):
+        out[inside] = f(t[inside])
+    return out if out.ndim else float(out)
+
+
+def _central(f, t, eps):
+    """Central difference of f at t, with both nodes clipped to [0, 1]."""
+    lo = np.clip(t - eps, 0.0, 1.0)
+    hi = np.clip(t + eps, 0.0, 1.0)
+    return (f(hi) - f(lo)) / (hi - lo)
+
+
 @dataclass(frozen=True)
 class Profile:
     """A nonnegative, nonincreasing profile with compact support [0, 1].
@@ -52,43 +70,18 @@ class Profile:
     curvature0: float | None = None
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = t <= 1.0
-        out = np.zeros(t.shape)
-        if np.any(inside):
-            out[inside] = self.fn(t[inside])
-        return out if out.ndim else float(out)
+        return _on_support(t, self.fn)
 
     def deriv(self, t):
         """First derivative on (0, 1); zero outside the support."""
-        t = np.asarray(t, dtype=float)
-        inside = t <= 1.0
-        out = np.zeros(t.shape)
-        if np.any(inside):
-            ti = t[inside]
-            if self.dfn is not None:
-                out[inside] = self.dfn(ti)
-            else:
-                eps = 1e-6
-                lo = np.clip(ti - eps, 0.0, 1.0)
-                hi = np.clip(ti + eps, 0.0, 1.0)
-                out[inside] = (self.fn(hi) - self.fn(lo)) / (hi - lo)
-        return out if out.ndim else float(out)
+        if self.dfn is not None:
+            return _on_support(t, self.dfn)
+        return _on_support(t, partial(_central, self.fn, eps=1e-6))
 
     def deriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = t <= 1.0
-        out = np.zeros(t.shape)
-        if np.any(inside):
-            ti = t[inside]
-            if self.d2fn is not None:
-                out[inside] = self.d2fn(ti)
-            else:
-                eps = 1e-4
-                lo = np.clip(ti - eps, 0.0, 1.0)
-                hi = np.clip(ti + eps, 0.0, 1.0)
-                out[inside] = (self.deriv(hi) - self.deriv(lo)) / (hi - lo)
-        return out if out.ndim else float(out)
+        if self.d2fn is not None:
+            return _on_support(t, self.d2fn)
+        return _on_support(t, partial(_central, self.deriv, eps=1e-4))
 
     def curvature_limit(self) -> float:
         """lim k'(t)/t as t -> 0+, estimated numerically if not analytic."""
@@ -187,7 +180,7 @@ def _make_builtin(name: str) -> KernelPair:
             "sinc",
             fn=lambda t, c=C: (np.pi / 2.0) ** 2 * np.sinc(t / 2.0) / c,
             dfn=lambda t, c=C: _sinc_deriv(t, c),
-            curvature0=-(np.pi / 2.0) ** 4 / (3.0 * _sinc_C()),
+            curvature0=-(np.pi / 2.0) ** 4 / (3.0 * C),
         )
     elif name == "gaussian_gaussian":
         g = _gaussian_profile("gaussian_shadow")

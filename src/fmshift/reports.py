@@ -139,7 +139,8 @@ def _split_sections(text: str) -> dict:
 def _parse_kv(lines):
     out = {}
     for line in lines:
-        key, _, value = line.partition(" = ")
+        # a key may contain " = " (it can hold a file name); values never do
+        key, _, value = line.rpartition(" = ")
         out[key] = value
     return out
 

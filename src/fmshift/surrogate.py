@@ -168,24 +168,31 @@ class DensityModel:
 
     # -- density estimates --------------------------------------------------
 
+    def _ms_weights(self, d: np.ndarray) -> np.ndarray:
+        """Mean-shift weights k(d/h)/h^2, with h(X_i) along the first axis.
+
+        ``d`` is a vector of distances d(X_i, x) or the n x n sample matrix.
+        """
+        h = self._h[:, None] if d.ndim == 2 else self._h
+        return self.pair.k(d / h) / h**2
+
+    def _profile_sum(self, profile, x: Curve, w: float, normalized) -> float:
+        """sum profile(d(X, x)/h(X)), times ``w`` when normalized."""
+        s = float(profile(self.distances_to(x) / self._h).sum())
+        use_norm = self.normalized if normalized is None else normalized
+        return w * s if use_norm else s
+
     def density_k(self, x: Curve, normalized: bool | None = None) -> float:
         """K-based estimate w_K * sum k(d(X, x)/h(X)) (or the bare numerator)."""
-        d = self.distances_to(x)
-        s = float(self.pair.k(d / self._h).sum())
-        use_norm = self.normalized if normalized is None else normalized
-        return (self.w_K * s) if use_norm else s
+        return self._profile_sum(self.pair.k, x, self.w_K, normalized)
 
     def density_g(self, x: Curve, normalized: bool | None = None) -> float:
         """Shadow-based estimate p~(x), the functional mean shift ascends."""
-        d = self.distances_to(x)
-        s = float(self.pair.g(d / self._h).sum())
-        use_norm = self.normalized if normalized is None else normalized
-        return (self.w_G if use_norm else 1.0) * s
+        return self._profile_sum(self.pair.g, x, self.w_G, normalized)
 
     def p_bar(self, x: Curve) -> float:
         """Unnormalized bandwidth-weighted K estimate sum k(d/h)/h^2."""
-        d = self.distances_to(x)
-        return float((self.pair.k(d / self._h) / self._h**2).sum())
+        return float(self._ms_weights(self.distances_to(x)).sum())
 
     # -- first order --------------------------------------------------------
 
@@ -205,8 +212,7 @@ class DensityModel:
 
     def mean_shift_vector(self, x: Curve) -> Curve:
         """m(x): the shift from x to the local K-weighted sample mean."""
-        d = self.distances_to(x)
-        u = self.pair.k(d / self._h) / self._h**2
+        u = self._ms_weights(self.distances_to(x))
         tot = u.sum()
         if tot <= 0.0:
             raise OutsideSupportError(

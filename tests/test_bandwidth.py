@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fmshift import FunctionalSample, Grid, ScanSpec, builtin_pair, scan
+from fmshift import (DerivativeMethod, DistanceSpec, FunctionalSample, Grid,
+                     ScanSpec, builtin_pair, scan)
 from fmshift.bandwidth import _find_plateaus
 
 GRID = Grid(np.linspace(0.0, 1.0, 21))
@@ -96,3 +97,33 @@ class TestScan:
         sample = FunctionalSample.from_matrix(GRID, np.zeros((1, len(GRID))))
         with pytest.raises(ValueError):
             scan(sample, builtin_pair("gaussian_gaussian"))
+
+
+class TestZeroDistanceScale:
+    @pytest.mark.parametrize("spec", [
+        DistanceSpec(), DistanceSpec("sobolev_h1"),
+        DistanceSpec("derivative_l2", 1),
+        DistanceSpec("derivative_l2", 2, DerivativeMethod("local_poly", 2, 0.2))],
+        ids=["l2", "sobolev_h1", "derivative_l2", "derivative_l2_local_poly"])
+    def test_identical_curves_raise(self, spec):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal(len(GRID))
+        same = FunctionalSample.from_matrix(GRID, np.tile(base, (5, 1)))
+        with pytest.raises(ValueError, match="curves are identical under the "
+                                             f"{spec.kind} distance"):
+            scan(same, builtin_pair("gaussian_gaussian"), spec)
+
+    @pytest.mark.parametrize("method", [DerivativeMethod(),
+                                        DerivativeMethod("local_poly", 2, 0.2)],
+                             ids=["finite_difference", "local_poly"])
+    def test_constant_offsets_under_derivative_l2_raise(self, method):
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal(len(GRID))
+        shifted = FunctionalSample.from_matrix(
+            GRID, base + np.array([0.0, 1.5, -3.7, 10.1, 0.3])[:, None])
+        spec = DistanceSpec("derivative_l2", 1, method)
+        with pytest.raises(ValueError, match="identical under the derivative_l2"):
+            scan(shifted, builtin_pair("gaussian_gaussian"), spec)
+        # the same curves are far apart in l2
+        scan(shifted, builtin_pair("gaussian_gaussian"),
+             spec=ScanSpec(n_values=3, min_plateau_len=2))

@@ -1,11 +1,15 @@
 """End-to-end runs of the command-line interface."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
 import fmshift.cli
 from fmshift import (
     DensityModel,
+    FunctionalSample,
     GeneratorSpec,
     Grid,
     OutsideSupportError,
@@ -59,6 +63,23 @@ class TestSimulate:
         capsys.readouterr()
         assert run(args + ["--out", "-"]) == 0
         assert capsys.readouterr().out == ref.read_text()
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_mode_is_what_a_plain_open_gives(self, tmp_path, umask):
+        out, plain = tmp_path / "sim.csv", tmp_path / "plain.csv"
+        previous = os.umask(umask)
+        try:
+            assert run(["simulate", "signal_clutter", "--n", 5,
+                        "--out", out]) == 0
+            with open(plain, "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(out.stat().st_mode) == \
+            stat.S_IMODE(plain.stat().st_mode)
 
 
 class TestCluster:
@@ -115,6 +136,24 @@ class TestCluster:
                   "--out", tmp_path / "o.txt"])
         assert rc == 3
         assert "category=numeric: numeric trouble" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["cluster", "--bandwidth-frac", 0.3],
+        ["test-modes", "--bandwidth-frac", 0.3, "--boot", 100],
+        ["scan", "--values", 5, "--min-plateau", 2]])
+    def test_identical_curves_have_no_relative_bandwidth(self, command,
+                                                         tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "same.csv"
+        grid = np.linspace(0.0, 1.0, 16)
+        write_curves_csv(path, FunctionalSample.from_matrix(
+            Grid(grid), np.tile(rng.standard_normal(16), (5, 1))))
+        rc = run(command + ["--input", path, "--out", tmp_path / "o.txt"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "category=input" in err
+        assert "curves are identical under the l2 distance" in err
+        assert not (tmp_path / "o.txt").exists()
 
     def test_no_partial_output_on_failure(self, curves_csv, tmp_path):
         out = tmp_path / "report.txt"
@@ -224,3 +263,66 @@ class TestSignaturePipeline:
         rep = parse_report(out.read_text())
         assert len(rep.assignments) == 6
         assert any(k.startswith("input:") for k in rep.provenance)
+
+
+def write_circles(sigdir, names):
+    """One pen trace per name: circles, three slow ones then fast ones."""
+    sigdir.mkdir(exist_ok=True)
+    rng = np.random.default_rng(0)
+    t = np.linspace(0.0, 1.0, 150)
+    for i, name in enumerate(names):
+        freq = 2.0 if i < 3 else 5.0
+        jitter = 0.02 * rng.standard_normal(t.size)
+        write_signature(sigdir / name,
+                        SignatureRecord(x=np.cos(2 * np.pi * freq * t) + jitter,
+                                        y=np.sin(2 * np.pi * freq * t),
+                                        t=t * 100.0))
+
+
+class TestSignatureFiles:
+    NAMES = [f"s{i}.txt" for i in range(5)]
+
+    def cluster(self, sigdir, out):
+        return run(["cluster", "--signatures", sigdir, "--sig-grid-points", 48,
+                    "--bandwidth-frac", 0.4, "--out", out])
+
+    def test_file_name_with_the_separator_round_trips(self, tmp_path):
+        sigdir = tmp_path / "sigs"
+        write_circles(sigdir, self.NAMES + ["w0 = x.txt"])
+        out = tmp_path / "report.txt"
+        assert self.cluster(sigdir, out) == 0
+        rep = parse_report(out.read_text())
+        assert rep.provenance["input:w0 = x.txt"].startswith("sha256:")
+        assert "input:w0" not in rep.provenance
+        assert parse_report(rep.to_text()) == rep
+
+    def test_file_name_with_a_line_break_is_exit_2(self, tmp_path, capsys):
+        sigdir = tmp_path / "sigs"
+        write_circles(sigdir, self.NAMES + ["w0\nx.txt"])
+        out = tmp_path / "report.txt"
+        assert self.cluster(sigdir, out) == 2
+        err = capsys.readouterr().err
+        assert "category=input" in err
+        assert "w0\\nx.txt" in err  # the name, with its line break escaped
+        assert not out.exists()
+
+    def test_short_signature_names_the_file(self, tmp_path, capsys):
+        sigdir = tmp_path / "sigs"
+        write_circles(sigdir, self.NAMES)
+        t = np.arange(4.0)
+        write_signature(sigdir / "short.sig", SignatureRecord(t, t, t))
+        assert self.cluster(sigdir, tmp_path / "r.txt") == 2
+        err = capsys.readouterr().err
+        assert "category=input" in err
+        assert "short.sig: signature needs at least 5 points" in err
+
+    def test_straight_stroke_names_the_file(self, tmp_path, capsys):
+        sigdir = tmp_path / "sigs"
+        write_circles(sigdir, self.NAMES)
+        t = np.linspace(0.0, 1.0, 100)
+        write_signature(sigdir / "line.sig",
+                        SignatureRecord(t, 2.0 * t, 100.0 * t))
+        assert self.cluster(sigdir, tmp_path / "r.txt") == 3
+        err = capsys.readouterr().err
+        assert "category=numeric" in err
+        assert "line.sig: tangential acceleration is zero" in err

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from fmshift import (
+    BUILTIN_PAIR_NAMES,
     OUTSIDE_SUPPORT,
+    BandwidthRule,
     Curve,
     DensityModel,
+    DistanceSpec,
     FunctionalSample,
     Grid,
     MeanShiftConfig,
+    OutsideSupportError,
     ascend,
     blurring_pass,
     builtin_pair,
@@ -211,3 +215,51 @@ class TestBlurring:
         model = DensityModel(sample, builtin_pair("gaussian_gaussian"),
                              bandwidth=2.0, normalized=False)
         assert blurring_pass(model).labels == sample.labels
+
+
+def per_curve_blurring(model):
+    """Oracle: each sample curve moved by its own mean-shift vector, or left
+    where it is when it lies outside every support ball. Returns the moved
+    matrix and the indices of the curves left in place."""
+    rows, outside = [], []
+    for i, c in enumerate(model.sample.curves):
+        try:
+            rows.append((c + model.mean_shift_vector(c)).values)
+        except OutsideSupportError:
+            rows.append(c.values)
+            outside.append(i)
+    return np.array(rows), outside
+
+
+class TestBlurringOracle:
+    SPECS = [DistanceSpec(), DistanceSpec("sobolev_h1"),
+             DistanceSpec("derivative_l2", 2)]
+
+    @pytest.mark.parametrize("name", BUILTIN_PAIR_NAMES)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("rule", ["fixed", "per_datum", "tiny"])
+    def test_matches_the_per_curve_update(self, name, spec, rule):
+        sample = gaussian_blob_sample(seed=3, centers=(0.0, 2.0), sd=0.3)
+        pair = builtin_pair(name)
+        dmax = DensityModel(sample, pair, spec, bandwidth=1.0,
+                            normalized=False).max_pairwise_distance
+        rng = np.random.default_rng(4)
+        bandwidth = {"fixed": 0.3 * dmax,
+                     "per_datum": BandwidthRule.per_datum(
+                         dmax * rng.uniform(0.1, 0.5, len(sample))),
+                     "tiny": 1e-12}[rule]
+        model = DensityModel(sample, pair, spec, bandwidth=bandwidth,
+                             normalized=False)
+        want, outside = per_curve_blurring(model)
+        got = blurring_pass(model).matrix
+        scale = np.abs(want).max()
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+        if rule == "tiny":
+            # below the rounding of the Gram-form distances some curves see
+            # no weight at all, not even their own, and stay where they are
+            assert outside
+            alone = (model.pairwise_distances > bandwidth).all(axis=0)
+            assert alone.any()
+            assert np.array_equal(got[alone], sample.matrix[alone])
+        else:
+            assert not outside

@@ -198,6 +198,22 @@ class TestTangentialAcceleration:
         with pytest.raises(DegenerateFeatureError):
             tangential_acceleration(sig, GRID)
 
+    @pytest.mark.parametrize("scale", [1.0, 1000.0])
+    @pytest.mark.parametrize("method", [DerivativeMethod(),
+                                        DerivativeMethod("local_poly", 2, 0.05)],
+                             ids=["finite_difference", "local_poly"])
+    @pytest.mark.parametrize("points", [64, 128])
+    def test_straight_stroke_rounding_is_not_a_feature(self, scale, method,
+                                                       points):
+        # the derivatives of a constant-speed straight stroke leave rounding
+        # noise of about 1e-13 of its speed; normalizing that would turn
+        # noise into a unit-norm feature curve
+        t = np.linspace(0.0, 1.0, 100)
+        sig = SignatureRecord(x=scale * t, y=2.0 * scale * t, t=t)
+        grid = Grid(np.linspace(0.0, 1.0, points))
+        with pytest.raises(DegenerateFeatureError, match="zero up to rounding"):
+            tangential_acceleration(sig, grid, method)
+
     def test_needs_points_and_span(self):
         t = np.zeros(10)
         with pytest.raises(InputFormatError, match="time span"):

@@ -169,3 +169,88 @@ class TestProfile:
         p = builtin_pair("gaussian_gaussian").k
         assert isinstance(p(0.5), float)
         assert p(1.5) == 0.0
+
+
+class _MaskedReference:
+    """Profile's support masking as first written, one copy per method; the
+    oracle that the shared masking helpers must reproduce bit for bit."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        inside = t <= 1.0
+        out = np.zeros(t.shape)
+        if np.any(inside):
+            out[inside] = self.p.fn(t[inside])
+        return out if out.ndim else float(out)
+
+    def deriv(self, t):
+        t = np.asarray(t, dtype=float)
+        inside = t <= 1.0
+        out = np.zeros(t.shape)
+        if np.any(inside):
+            ti = t[inside]
+            if self.p.dfn is not None:
+                out[inside] = self.p.dfn(ti)
+            else:
+                eps = 1e-6
+                lo = np.clip(ti - eps, 0.0, 1.0)
+                hi = np.clip(ti + eps, 0.0, 1.0)
+                out[inside] = (self.p.fn(hi) - self.p.fn(lo)) / (hi - lo)
+        return out if out.ndim else float(out)
+
+    def deriv2(self, t):
+        t = np.asarray(t, dtype=float)
+        inside = t <= 1.0
+        out = np.zeros(t.shape)
+        if np.any(inside):
+            ti = t[inside]
+            if self.p.d2fn is not None:
+                out[inside] = self.p.d2fn(ti)
+            else:
+                eps = 1e-4
+                lo = np.clip(ti - eps, 0.0, 1.0)
+                hi = np.clip(ti + eps, 0.0, 1.0)
+                out[inside] = (self.deriv(hi) - self.deriv(lo)) / (hi - lo)
+        return out if out.ndim else float(out)
+
+
+def _profiles_under_test():
+    for name in BUILTIN_PAIR_NAMES:
+        pair = builtin_pair(name)
+        yield f"{name}.k", pair.k
+        yield f"{name}.g", pair.g
+    # no analytic derivatives: both derivatives take the central differences
+    g = Profile("cosine", fn=lambda t: np.cos(np.pi * t / 2.0))
+    yield "shadow_of(cosine).k", shadow_of(g).k
+    yield "plain", Profile("plain", fn=lambda t: (1.0 - t**2) ** 2)
+
+
+class TestProfileMasking:
+    POINTS = [0.0, 0.25, 1.0, 1.5,
+              np.linspace(0.0, 1.3, 53),  # holds t = 1 and t > 1
+              np.array([[0.0, 1e-9, 0.999999], [1.0, 1.0 + 1e-12, 7.0]]),
+              np.array([2.0, 3.0])]  # nothing inside the support
+
+    @pytest.mark.parametrize("label,profile", list(_profiles_under_test()))
+    @pytest.mark.parametrize("method", ["__call__", "deriv", "deriv2"])
+    def test_bit_identical_to_the_masked_reference(self, label, profile,
+                                                   method):
+        ref = _MaskedReference(profile)
+        for t in self.POINTS:
+            # the power-1 shadow's d2fn is 0 * inf = nan at t = 1, both ways
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = getattr(profile, method)(t)
+                want = getattr(ref, method)(t)
+            assert type(got) is type(want), (label, method, t)
+            assert np.array_equal(got, want, equal_nan=True), (label, method, t)
+
+    def test_methods_stay_in_the_class_body(self):
+        # span tracers wrap them through the class dictionary
+        assert {"__call__", "deriv", "deriv2"} <= set(vars(Profile))
+
+    def test_sinc_curvature_limit_uses_its_linking_constant(self):
+        pair = builtin_pair("sinc_cosine")
+        assert pair.k.curvature0 == -(np.pi / 2.0) ** 4 / (3.0 * pair.C)

@@ -78,3 +78,13 @@ class TestParsing:
         lines = text.splitlines()
         lines.insert(3, "# a stray comment")
         assert parse_report("\n".join(lines)) == sample_report()
+
+
+class TestKeys:
+    def test_key_holding_the_separator_round_trips(self):
+        # provenance keys carry input file names, which may contain " = "
+        rep = sample_report()
+        prov = dict(rep.provenance, **{"input:w0 = x.txt": "sha256:" + "cd" * 32,
+                                       "input:a = b = c": "sha256:" + "ef" * 32})
+        rep = RunReport(**{**rep.__dict__, "provenance": prov})
+        assert parse_report(rep.to_text()) == rep
