@@ -66,23 +66,42 @@ def _find_plateaus(counts: np.ndarray, min_len: int):
     return plateaus
 
 
+def _rounding_level(model: DensityModel) -> float:
+    """The largest distance between the model's curves that is zero up to
+    rounding.
+
+    Two kinds of rounding bound it. The Gram-form distances lose up to about
+    5e-8 of the largest component norm (1e-6 leaves a margin). A derivative
+    component ``V @ D`` carries rounding noise of about eps times the value
+    norm times the operator norm; when the true derivatives vanish (constant
+    curves under "local_poly") that noise is the whole component, so its own
+    norm cannot expose it. That noise reads about 1e-16 of the largest value
+    norm times the operator norms; 1e-12 of it is also above the worst-case
+    rounding bound, grid length times eps, for grids of up to 4000 points.
+    """
+    m = model.metric
+    norm = float(np.sqrt(np.diag(m.gram(model._F, model._F)).max()))
+    value_norm = float(np.sqrt(np.einsum("ij,ij->i", model._V * m.w, model._V).max()))
+    operator_norm = sum(float(np.linalg.norm(D)) for D in m.operators if D is not None)
+    return max(1e-6 * norm, 1e-12 * value_norm * operator_norm)
+
+
 def _max_distance(sample: FunctionalSample, pair: KernelPair,
                   distance: DistanceSpec) -> float:
     """The largest pairwise distance, the unit of a relative bandwidth.
 
-    Raises ValueError when it is zero up to the rounding of the Gram-form
-    distances (up to about 5e-8 of the largest curve norm, so 1e-6 leaves a
-    margin): the curves are then identical under the distance and no
-    relative bandwidth exists.
+    Raises ValueError when it is zero up to rounding (``_rounding_level``):
+    the curves are then identical under the distance and no relative
+    bandwidth exists.
     """
     ref = DensityModel(sample, pair, distance, bandwidth=1.0, normalized=False)
     dmax = ref.max_pairwise_distance
-    norm = float(np.sqrt(np.diag(ref.metric.gram(ref._F, ref._F)).max()))
-    if dmax <= 1e-6 * norm:
+    level = _rounding_level(ref)
+    if dmax <= level:
         raise ValueError(
             f"the curves are identical under the {distance.kind} distance "
-            f"(largest pairwise distance {dmax:.3g} at curve norm {norm:.3g}); "
-            "a bandwidth relative to it does not exist"
+            f"(largest pairwise distance {dmax:.3g}, at most the rounding "
+            f"level {level:.3g}); a bandwidth relative to it does not exist"
         )
     return dmax
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandwidth import ScanSpec, _max_distance, scan
+from .bandwidth import ScanSpec, _max_distance, _rounding_level, scan
 from .engine import MeanShiftConfig, cluster
 from .experiments import GeneratorSpec, fpca_kmeans, generate
 from .function_space import DerivativeMethod, DistanceSpec, FunctionalSample, Grid
@@ -229,7 +229,14 @@ def _cmd_test_modes(args) -> int:
             ref = DensityModel(sub1, pair, spec, bandwidth=1.0, normalized=False)
             n = len(sub1)
             off = ~np.eye(n, dtype=bool)
-            return float(np.percentile(ref.pairwise_distances[off], _pct))
+            h = float(np.percentile(ref.pairwise_distances[off], _pct))
+            if h <= _rounding_level(ref):
+                raise ValueError(
+                    f"percentile {_pct:g} of the first half's pairwise "
+                    f"{spec.kind} distances is zero up to rounding ({h:.3g}); "
+                    "a bandwidth cannot be taken from it"
+                )
+            return h
         bandwidth = bw
     else:
         bandwidth = _absolute_bandwidth(args, sample, pair, spec)

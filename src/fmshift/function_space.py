@@ -78,6 +78,11 @@ class Grid:
         w.setflags(write=False)
         return w
 
+    @cached_property
+    def _derivative_operators(self) -> dict:
+        """Local-polynomial operators of this grid, keyed by (order, method)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -218,46 +223,67 @@ def estimate_derivative(c: Curve, order: int, method: DerivativeMethod | None = 
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
     method = method or DerivativeMethod()
-    return Curve(c.grid, _derivative_matrix(c.values, c.grid.points, order, method))
+    return Curve(c.grid, _derivative_matrix(c.values, c.grid, order, method))
 
 
-def _local_poly_operator(points, order, degree, bandwidth) -> np.ndarray:
+def _build_local_poly_operator(points, order, degree, bandwidth) -> np.ndarray:
     """L x L matrix D such that ``v @ D`` is the local-polynomial derivative of v.
 
     At each point the weighted least-squares fit of v is ``pinv(A) @ (sw * v)``
     for the weighted design A, a linear smoother, so the order-m coefficient
-    row of ``pinv(A)`` scaled by the weights is one column of D.
+    row of ``pinv(A)`` scaled by the weights is one column of D. Row i of the
+    stacked arrays belongs to grid point i; all L designs go through one
+    stacked ``pinv``.
     """
     if degree < order:
         raise ValueError("local_poly degree must be >= derivative order")
     n = points.size
     if n < degree + 1:
         raise ValueError("grid too short for the requested polynomial degree")
-    D = np.empty((n, n))
-    for i, t0 in enumerate(points):
-        u = points - t0
-        w = np.exp(-0.5 * (u / bandwidth) ** 2)
-        if np.count_nonzero(w > 1e-12) < degree + 1:
-            idx = np.argsort(np.abs(u))[: degree + 1]
-            w = np.zeros(n)
-            w[idx] = 1.0
-        sw = np.sqrt(w)
-        A = np.vander(u, degree + 1, increasing=True) * sw[:, None]
-        D[:, i] = np.linalg.pinv(A)[order] * sw * math.factorial(order)
-    return D
+    u = points[None, :] - points[:, None]
+    w = np.exp(-0.5 * (u / bandwidth) ** 2)
+    # too few points in the window: fit the nearest degree + 1 points instead
+    for i in np.flatnonzero(np.count_nonzero(w > 1e-12, axis=1) < degree + 1):
+        idx = np.argsort(np.abs(u[i]))[: degree + 1]
+        w[i] = 0.0
+        w[i, idx] = 1.0
+    sw = np.sqrt(w)
+    # the powers of u, formed as np.vander forms them
+    A = np.empty((n, n, degree + 1))
+    A[..., 0] = 1.0
+    A[..., 1:] = u[..., None]
+    np.multiply.accumulate(A[..., 1:], out=A[..., 1:], axis=-1)
+    A *= sw[..., None]
+    # row i of the coefficients is column i of D; C order keeps ``v @ D`` on
+    # the same BLAS path as a column-by-column fill
+    return np.ascontiguousarray((np.linalg.pinv(A)[:, order] * sw
+                                 * math.factorial(order)).T)
 
 
-def _derivative_matrix(values: np.ndarray, points: np.ndarray, order: int,
+def _local_poly_operator(grid: Grid, order: int, method: DerivativeMethod) -> np.ndarray:
+    """The read-only local-polynomial operator of (grid, order, method),
+    built on the first request and kept on the grid."""
+    ops = grid._derivative_operators
+    key = (order, method)
+    if key not in ops:
+        D = _build_local_poly_operator(grid.points, order, method.degree,
+                                       method.bandwidth)
+        D.setflags(write=False)
+        ops[key] = D
+    return ops[key]
+
+
+def _derivative_matrix(values: np.ndarray, grid: Grid, order: int,
                        method: DerivativeMethod) -> np.ndarray:
     """Derivatives of each row of a value matrix (or of one value vector)."""
     if method.kind == "finite_difference":
-        if points.size < order + 1:
+        if len(grid) < order + 1:
             raise ValueError("grid too short for finite differences")
         out = values
         for _ in range(order):
-            out = np.gradient(out, points, axis=-1)
+            out = np.gradient(out, grid.points, axis=-1)
         return out
-    return values @ _local_poly_operator(points, order, method.degree, method.bandwidth)
+    return values @ _local_poly_operator(grid, order, method)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +318,7 @@ class Metric:
             self.operators = (None,)  # None: the identity, applied without a matmul
         else:
             order = 1 if spec.kind == "sobolev_h1" else spec.order
-            D = _derivative_matrix(np.eye(len(grid)), grid.points, order,
+            D = _derivative_matrix(np.eye(len(grid)), grid, order,
                                    spec.derivative_method)
             self.operators = (None, D) if spec.kind == "sobolev_h1" else (D,)
 

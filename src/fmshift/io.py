@@ -227,8 +227,8 @@ def tangential_acceleration(sig: SignatureRecord, grid: Grid,
     xy = np.stack([np.interp(grid.points, s, sig.x),
                    np.interp(grid.points, s, sig.y)])
     # x and y are differentiated together: one derivative operator per order
-    dx, dy = function_space._derivative_matrix(xy, grid.points, 1, method)
-    d2x, d2y = function_space._derivative_matrix(xy, grid.points, 2, method)
+    dx, dy = function_space._derivative_matrix(xy, grid, 1, method)
+    d2x, d2y = function_space._derivative_matrix(xy, grid, 2, method)
 
     speed = np.hypot(dx, dy)
     thresh = 1e-9 * max(float(speed.max()), 1e-300)

@@ -110,14 +110,20 @@ class KernelPair:
 _GAUSS_C = float(np.sqrt(np.pi / 2.0) * special.erf(1.0 / np.sqrt(2.0)))
 
 
+def _poly_shadow_deriv2(t, p):
+    out = -2.0 * p * (1.0 - t**2) ** (p - 1)
+    if p > 1:  # for p = 1 the second term is 0 * (1 - t^2)^(-1), nan at t = 1
+        out = out + 4.0 * p * (p - 1) * t**2 * (1.0 - t**2) ** (p - 2)
+    return out
+
+
 def _poly_shadow(name, power):
     # g(t) = (1 - t^2)^power
     return Profile(
         name,
         fn=lambda t, p=power: (1.0 - t**2) ** p,
         dfn=lambda t, p=power: -2.0 * p * t * (1.0 - t**2) ** (p - 1),
-        d2fn=lambda t, p=power: (-2.0 * p * (1.0 - t**2) ** (p - 1)
-                                 + 4.0 * p * (p - 1) * t**2 * (1.0 - t**2) ** (p - 2)),
+        d2fn=partial(_poly_shadow_deriv2, p=power),
     )
 
 

@@ -127,3 +127,28 @@ class TestZeroDistanceScale:
         # the same curves are far apart in l2
         scan(shifted, builtin_pair("gaussian_gaussian"),
              spec=ScanSpec(n_values=3, min_plateau_len=2))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_constant_curves_under_local_poly_derivatives_raise(self, order):
+        # their derivative components are rounding noise of about 1e-14,
+        # as large as their own norm
+        constants = FunctionalSample.from_matrix(
+            GRID, np.array([0.0, 1.5, -3.7, 10.1, 0.3])[:, None]
+            * np.ones(len(GRID)))
+        spec = DistanceSpec("derivative_l2", order,
+                            DerivativeMethod("local_poly", 2, 0.2))
+        with pytest.raises(ValueError, match="identical under the derivative_l2"):
+            scan(constants, builtin_pair("gaussian_gaussian"), spec,
+                 ScanSpec(n_values=4, min_plateau_len=2))
+
+    def test_derivative_differences_far_below_the_offsets_are_kept(self):
+        # slopes 1e-6 on offsets near 1e3: tiny against the values, far
+        # above the rounding of the derivative operator
+        t = GRID.points
+        rows = np.array([1e3 + 1e-6 * k * t for k in range(5)])
+        spec = DistanceSpec("derivative_l2", 1,
+                            DerivativeMethod("local_poly", 2, 0.2))
+        res = scan(FunctionalSample.from_matrix(GRID, rows),
+                   builtin_pair("gaussian_gaussian"), spec,
+                   ScanSpec(n_values=3, min_plateau_len=2))
+        assert res.max_distance == pytest.approx(4e-6, rel=1e-6)

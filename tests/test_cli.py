@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fmshift.cli
+import fmshift.function_space
 from fmshift import (
     DensityModel,
     FunctionalSample,
@@ -188,6 +189,24 @@ class TestTestModes:
         assert rep.mode_test.n_boot == 100
         assert parse_report(rep.to_text()) == rep
 
+    @pytest.mark.parametrize("distance", ["l2", "sobolev_h1"])
+    def test_zero_percentile_distance_is_exit_2(self, distance, tmp_path,
+                                                capsys):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "same.csv"
+        write_curves_csv(path, FunctionalSample.from_matrix(
+            Grid(np.linspace(0.0, 1.0, 16)),
+            np.tile(rng.standard_normal(16), (8, 1))))
+        rc = run(["test-modes", "--input", path, "--bandwidth-percentile", 41,
+                  "--distance", distance, "--boot", 100,
+                  "--out", tmp_path / "tm.txt"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "category=input" in err
+        assert (f"percentile 41 of the first half's pairwise {distance} "
+                "distances is zero up to rounding") in err
+        assert not (tmp_path / "tm.txt").exists()
+
     def test_second_half_normalizer_error_is_exit_3(self, tmp_path, capsys):
         # the second half (5.01, 100, 200) has no pair within reach of h = 1
         path = tmp_path / "levels.csv"
@@ -277,6 +296,27 @@ def write_circles(sigdir, names):
                         SignatureRecord(x=np.cos(2 * np.pi * freq * t) + jitter,
                                         y=np.sin(2 * np.pi * freq * t),
                                         t=t * 100.0))
+
+
+def test_signature_run_builds_each_local_poly_operator_once(tmp_path,
+                                                            monkeypatch):
+    # smoothing needs orders 1 and 2, sobolev_h1 one more order-1 operator
+    # with its own bandwidth; the models of the run share the grid's copies
+    builds = []
+    build = fmshift.function_space._build_local_poly_operator
+
+    def counting(points, order, degree, bandwidth):
+        builds.append((order, degree, bandwidth))
+        return build(points, order, degree, bandwidth)
+
+    monkeypatch.setattr(fmshift.function_space, "_build_local_poly_operator",
+                        counting)
+    write_circles(tmp_path / "sigs", [f"s{i}.txt" for i in range(8)])
+    assert run(["cluster", "--signatures", tmp_path / "sigs",
+                "--sig-grid-points", 48, "--distance", "sobolev_h1",
+                "--deriv-method", "local_poly", "--deriv-bandwidth", 0.04,
+                "--bandwidth-frac", 0.3, "--out", tmp_path / "report.txt"]) == 0
+    assert sorted(builds) == [(1, 2, 0.04), (1, 2, 0.05), (2, 2, 0.05)]
 
 
 class TestSignatureFiles:

@@ -76,6 +76,22 @@ class TestBuiltinPairs:
             builtin_pair("tricube_whatever")
 
     @pytest.mark.parametrize("name", BUILTIN_PAIR_NAMES)
+    def test_shadow_second_derivative_is_finite_on_the_support(self, name):
+        g = builtin_pair(name).g
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [g.deriv2(t) for t in (0.0, 0.5, 1.0)]
+            assert np.array_equal(g.deriv2(np.array([0.0, 0.5, 1.0])), values)
+        assert np.all(np.isfinite(values))
+        eps = 1e-6
+        central = (g.deriv(0.5 + eps) - g.deriv(0.5 - eps)) / (2.0 * eps)
+        assert values[1] == pytest.approx(central, rel=1e-6, abs=1e-8)
+
+    def test_epanechnikov_shadow_second_derivative_at_the_edge(self):
+        # g(t) = 1 - t^2 has g'' = -2 up to and including t = 1
+        assert builtin_pair("uniform_epanechnikov").g.deriv2(1.0) == -2.0
+
+    @pytest.mark.parametrize("name", BUILTIN_PAIR_NAMES)
     def test_curvature_limit_matches_numeric(self, name):
         pair = builtin_pair(name)
         c0 = pair.k.curvature_limit()
@@ -240,12 +256,13 @@ class TestProfileMasking:
                                                    method):
         ref = _MaskedReference(profile)
         for t in self.POINTS:
-            # the power-1 shadow's d2fn is 0 * inf = nan at t = 1, both ways
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # every builtin is finite on its whole support, t = 1 included
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 got = getattr(profile, method)(t)
                 want = getattr(ref, method)(t)
             assert type(got) is type(want), (label, method, t)
-            assert np.array_equal(got, want, equal_nan=True), (label, method, t)
+            assert np.array_equal(got, want), (label, method, t)
 
     def test_methods_stay_in_the_class_body(self):
         # span tracers wrap them through the class dictionary

@@ -48,6 +48,23 @@ def local_poly_reference(values, points, order, degree, bandwidth):
     return out
 
 
+def local_poly_operator_reference(points, order, degree, bandwidth):
+    """The operator column by column: one pinv per grid point."""
+    n = points.size
+    D = np.empty((n, n))
+    for i, t0 in enumerate(points):
+        u = points - t0
+        w = np.exp(-0.5 * (u / bandwidth) ** 2)
+        if np.count_nonzero(w > 1e-12) < degree + 1:
+            idx = np.argsort(np.abs(u))[: degree + 1]
+            w = np.zeros(n)
+            w[idx] = 1.0
+        sw = np.sqrt(w)
+        A = np.vander(u, degree + 1, increasing=True) * sw[:, None]
+        D[:, i] = np.linalg.pinv(A)[order] * sw * math.factorial(order)
+    return D
+
+
 def derivative_reference(values, points, order, method):
     if method.kind == "finite_difference":
         out = values
@@ -211,6 +228,49 @@ class TestMetricOracle:
         model.lambda_eigen(x)
         model.lambda_paper(x)
         cluster(model, MeanShiftConfig(max_iters=20))
+
+
+UNIFORM = np.linspace(0.0, 1.0, 40)
+NON_UNIFORM = np.sort(np.random.default_rng(11).uniform(0.0, 1.0, 40))
+
+
+class TestLocalPolyOperator:
+    @pytest.mark.parametrize("points", [UNIFORM, NON_UNIFORM],
+                             ids=["uniform", "non_uniform"])
+    # at 0.001 a window holds fewer than degree + 1 points, so columns take
+    # the nearest-points fallback
+    @pytest.mark.parametrize("bandwidth", [0.3, 0.04, 0.001])
+    @pytest.mark.parametrize("degree,order",
+                             [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_stacked_build_equals_the_per_point_loop(self, points, bandwidth,
+                                                     degree, order):
+        grid = Grid(points)
+        method = DerivativeMethod("local_poly", degree, bandwidth)
+        D = function_space._local_poly_operator(grid, order, method)
+        assert np.array_equal(
+            D, local_poly_operator_reference(points, order, degree, bandwidth))
+
+    def test_built_once_per_grid_and_read_only(self):
+        grid = Grid(UNIFORM)
+        method = DerivativeMethod("local_poly", 2, 0.04)
+        D = function_space._local_poly_operator(grid, 1, method)
+        assert function_space._local_poly_operator(grid, 1, method) is D
+        assert D.flags.c_contiguous  # the BLAS path of a column-by-column fill
+        with pytest.raises(ValueError, match="read-only"):
+            D[0, 0] = 1.0
+
+    def test_order_and_method_key_their_own_operators(self):
+        grid = Grid(UNIFORM)
+        method = DerivativeMethod("local_poly", 2, 0.04)
+        D = function_space._local_poly_operator(grid, 1, method)
+        others = [function_space._local_poly_operator(grid, 2, method),
+                  function_space._local_poly_operator(
+                      grid, 1, DerivativeMethod("local_poly", 3, 0.04)),
+                  function_space._local_poly_operator(
+                      grid, 1, DerivativeMethod("local_poly", 2, 0.05))]
+        for E in others:
+            assert E is not D and not np.array_equal(E, D)
+        assert len(grid._derivative_operators) == 4
 
 
 def first_appearance_ordered(labels):
