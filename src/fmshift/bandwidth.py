@@ -81,7 +81,8 @@ def _rounding_level(model: DensityModel) -> float:
     """
     m = model.metric
     norm = float(np.sqrt(np.diag(m.gram(model._F, model._F)).max()))
-    value_norm = float(np.sqrt(np.einsum("ij,ij->i", model._V * m.w, model._V).max()))
+    value_norm = float(np.sqrt(np.einsum("ij,ij->i", model._V * model.grid.quad_weights,
+                                         model._V).max()))
     operator_norm = sum(float(np.linalg.norm(D)) for D in m.operators if D is not None)
     return max(1e-6 * norm, 1e-12 * value_norm * operator_norm)
 

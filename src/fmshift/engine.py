@@ -50,12 +50,13 @@ class MeanShiftConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.step_tolerance is not None and self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be positive")
-        if self.merge_radius_factor <= 0:
-            raise ValueError("merge_radius_factor must be positive")
-        if self.perturbation_scale is not None and self.perturbation_scale < 0:
-            raise ValueError("perturbation_scale must be nonnegative")
+        tol, delta = self.step_tolerance, self.perturbation_scale
+        if tol is not None and (not np.isfinite(tol) or tol <= 0):
+            raise ValueError("step_tolerance must be positive and finite")
+        if not np.isfinite(self.merge_radius_factor) or self.merge_radius_factor <= 0:
+            raise ValueError("merge_radius_factor must be positive and finite")
+        if delta is not None and (not np.isfinite(delta) or delta < 0):
+            raise ValueError("perturbation_scale must be nonnegative and finite")
 
     def resolved(self, model: DensityModel) -> "MeanShiftConfig":
         h_ref = float(model._h.min())

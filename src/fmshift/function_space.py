@@ -176,8 +176,9 @@ class DerivativeMethod:
         if self.kind not in ("finite_difference", "local_poly"):
             raise ValueError(f"unknown derivative method {self.kind!r}")
         if self.kind == "local_poly":
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise ValueError("local_poly requires a positive smoothing bandwidth")
+            h = self.bandwidth
+            if h is None or not np.isfinite(h) or h <= 0:
+                raise ValueError("local_poly requires a positive finite smoothing bandwidth")
             if self.degree < 1:
                 raise ValueError("local_poly degree must be >= 1")
 
@@ -302,18 +303,19 @@ def _pairwise_component_l2(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.nd
 class Metric:
     """The inner product and distance of one (grid, DistanceSpec), built once.
 
-    Each spec is a sum over linear components of the curve values: "l2" uses
-    the values, "derivative_l2" the order-m derivatives, "sobolev_h1" the
-    values and the first derivatives. A derivative is a fixed L x L operator
-    D applied as ``V @ D`` (both derivative methods are linear), so the
+    Each spec is a sum over linear blocks of the curve values: "l2" uses the
+    values, "derivative_l2" the order-m derivatives, "sobolev_h1" the values
+    and the first derivatives. A derivative is a fixed L x L operator D
+    applied as ``v @ D`` (both derivative methods are linear), so the
     derivative rows of a difference are the differences of derivative rows.
-    The inner product is the sum of the component trapezoid inner products;
-    the distance is the sum of the component L2 norms of the difference.
+    ``components`` lays the blocks of a curve side by side in one row and
+    ``w`` repeats the trapezoid weights once per block: the inner product is
+    one weighted product of component rows, the distance the sum of the
+    blockwise L2 norms of the components of the difference.
     """
 
     def __init__(self, grid: Grid, spec: DistanceSpec | None = None):
         spec = spec or DistanceSpec()
-        self.w = grid.quad_weights
         if spec.kind == "l2":
             self.operators = (None,)  # None: the identity, applied without a matmul
         else:
@@ -321,28 +323,50 @@ class Metric:
             D = _derivative_matrix(np.eye(len(grid)), grid, order,
                                    spec.derivative_method)
             self.operators = (None, D) if spec.kind == "sobolev_h1" else (D,)
+        self.w = np.tile(grid.quad_weights, len(self.operators))
+        self.w.setflags(write=False)
 
-    def components(self, V: np.ndarray) -> tuple:
-        """The component rows of a value matrix (or of one value vector)."""
-        return tuple(V if D is None else V @ D for D in self.operators)
+    def components(self, V: np.ndarray) -> np.ndarray:
+        """The component row of a value vector, or one per row of a value
+        matrix.
 
-    def gram(self, FA: tuple, FB: tuple) -> np.ndarray:
-        """Inner products between the rows of two component tuples (a scalar
-        for the components of two value vectors)."""
-        return sum((a * self.w) @ b.T for a, b in zip(FA, FB))
-
-    def pairwise(self, FA: tuple, FB: tuple) -> np.ndarray:
-        """Distances between the rows of two component tuples, in Gram form.
-
-        The Gram form loses about sqrt(eps) of accuracy near zero distance;
-        ``distance`` keeps the difference form for a single pair.
+        Each row is multiplied by D as a single vector is, in a stack of
+        vector-matrix products (a matrix-matrix product sums in another
+        order), so a curve's components do not depend on the rows stacked
+        with it: a query equal to a sample curve has exactly its components.
         """
-        return sum(_pairwise_component_l2(a, b, self.w) for a, b in zip(FA, FB))
+        blocks = [V if D is None else (V[..., None, :] @ D)[..., 0, :]
+                  for D in self.operators]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+
+    def gram(self, FA: np.ndarray, FB: np.ndarray) -> np.ndarray:
+        """Inner products between the component rows of FA and FB (a scalar
+        for two single rows)."""
+        return (FA * self.w) @ FB.T
+
+    def norms(self, DF: np.ndarray) -> np.ndarray:
+        """The distance each component row of a difference stands for: the
+        sum of its blockwise L2 norms (a scalar for a single row)."""
+        return np.sqrt(self._blocks(DF * DF * self.w).sum(axis=-1)).sum(axis=-1)
+
+    def pairwise(self, FA: np.ndarray, FB: np.ndarray) -> np.ndarray:
+        """Distances between the component rows of FA and FB, in Gram form.
+
+        The Gram form loses about sqrt(eps) of accuracy near zero distance,
+        so it serves only matrices between two curve sets; the distances of
+        one curve are ``norms`` of its differences.
+        """
+        A, B, W = self._blocks(FA), self._blocks(FB), self._blocks(self.w)
+        return sum(_pairwise_component_l2(A[:, j], B[:, j], w) for j, w in enumerate(W))
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two value vectors, from their difference."""
-        return float(sum(np.sqrt(max(np.dot(c * self.w, c), 0.0))
-                         for c in self.components(a - b)))
+        return float(self.norms(self.components(a - b)))
+
+    def _blocks(self, F: np.ndarray) -> np.ndarray:
+        """Component rows split into their blocks, along a new next-to-last
+        axis."""
+        return F.reshape(F.shape[:-1] + (len(self.operators), -1))
 
 
 def inner_product(a: Curve, b: Curve, spec: DistanceSpec | None = None) -> float:

@@ -44,7 +44,6 @@ class TestConfig:
     n_boot: int = 1000
     statistic: str = "lambda_eigen"
     split_rule: str = "first_half"
-    ci_method: str = "percentile"
     include_atomic: bool = False
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class TestConfig:
             raise ValueError(f"statistic must be one of {STATISTICS}")
         if self.split_rule not in ("first_half", "random"):
             raise ValueError("split_rule must be 'first_half' or 'random'")
-        if self.ci_method != "percentile":
-            raise ValueError("only the percentile CI method is implemented")
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,8 @@ def bootstrap_ci(replicates, level: float) -> tuple:
     replicates = np.asarray(replicates, dtype=float)
     if replicates.size == 0:
         raise ValueError("need at least one replicate")
+    if not np.all(np.isfinite(replicates)):
+        raise ValueError("replicates must be finite")
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     tail = (1.0 - level) / 2.0

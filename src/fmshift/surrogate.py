@@ -61,15 +61,15 @@ class BandwidthRule:
 
     @classmethod
     def fixed(cls, h: float) -> "BandwidthRule":
-        if h <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not np.isfinite(h) or h <= 0:
+            raise ValueError("bandwidth must be positive and finite")
         return cls("fixed", float(h))
 
     @classmethod
     def per_datum(cls, hs) -> "BandwidthRule":
         hs = np.asarray(hs, dtype=float)
-        if np.any(hs <= 0):
-            raise ValueError("all bandwidths must be positive")
+        if not np.all(np.isfinite(hs)) or np.any(hs <= 0):
+            raise ValueError("all bandwidths must be positive and finite")
         return cls("per_datum", hs)
 
     def resolve(self, n: int) -> np.ndarray:
@@ -113,6 +113,9 @@ class DensityModel:
         self._F = self.metric.components(self._V)
 
         self.pairwise_distances = self.metric.pairwise(self._F, self._F)
+        # the Gram form leaves rounding on the diagonal; a curve is at
+        # distance exactly 0 from itself, as in the difference form
+        np.fill_diagonal(self.pairwise_distances, 0.0)
         off = ~np.eye(self._n, dtype=bool)
         if self._n > 1:
             self.min_pairwise_distance = float(self.pairwise_distances[off].min())
@@ -139,32 +142,34 @@ class DensityModel:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _components(self, x: Curve) -> tuple:
-        """Metric components of a query curve, as single-row matrices."""
+    def _components(self, x: Curve) -> np.ndarray:
+        """Metric component row of a query curve."""
         if x.grid != self.grid:
             raise GridMismatchError("query curve is not on the sample grid")
-        return self.metric.components(x.values[None, :])
+        return self.metric.components(x.values)
 
-    def _norm(self, F: tuple) -> float:
-        return float(np.sqrt(max(self.metric.gram(F, F)[0, 0], 0.0)))
+    def _norm(self, F: np.ndarray) -> float:
+        return float(np.sqrt(max(self.metric.gram(F, F), 0.0)))
 
     def distances_to(self, x: Curve) -> np.ndarray:
         """d(X_i, x) for every sample curve, under the model's distance."""
-        return self.metric.pairwise(self._F, self._components(x))[:, 0]
+        return self._diff(x)[1]
 
     def ip_norm(self, v: Curve) -> float:
         """Norm induced by the inner product of the distance spec."""
         return self._norm(self._components(v))
 
     def _diff(self, x: Curve):
-        """Components of the rows X_i - x, and the distances d(X_i, x).
+        """Components of the rows X_i - x, and the distances d(X_i, x) they
+        give.
 
         By linearity the components of X_i - x are F(X_i) - F(x), so a query
-        applies the metric operators to x alone.
+        applies the metric operators to x alone. The distances come from these
+        differences, not from the Gram form, so a sample curve is at distance
+        exactly 0 from itself.
         """
-        xF = self._components(x)
-        DF = tuple(f - xf for f, xf in zip(self._F, xF))
-        return DF, self.metric.pairwise(self._F, xF)[:, 0]
+        DF = self._F - self._components(x)
+        return DF, self.metric.norms(DF)
 
     # -- density estimates --------------------------------------------------
 
@@ -206,8 +211,7 @@ class DensityModel:
         mean-shift update, which touches the metric only through the distances,
         is unaffected.
         """
-        d = self.distances_to(x)
-        coef = self.pair.C * self.w_G * self.pair.k(d / self._h) / self._h**2
+        coef = self.pair.C * self.w_G * self._ms_weights(self.distances_to(x))
         return Curve(self.grid, coef @ (self._V - x.values))
 
     def mean_shift_vector(self, x: Curve) -> Curve:
@@ -268,10 +272,10 @@ class DensityModel:
         DF, _, kv, _, dk_over_d = self._curvature_terms(x)
         yF, zF = self._components(y), self._components(z)
         h = self._h
-        ip_y = self.metric.gram(DF, yF)[:, 0]
-        ip_z = self.metric.gram(DF, zF)[:, 0]
+        ip_y = self.metric.gram(DF, yF)
+        ip_z = self.metric.gram(DF, zF)
         pair_term = float((dk_over_d / h**3 * ip_y * ip_z).sum())
-        ip_yz = float(self.metric.gram(yF, zF)[0, 0])
+        ip_yz = float(self.metric.gram(yF, zF))
         dens_term = float((kv / h**2).sum()) * ip_yz
         return -self.pair.C * self.w_G * (pair_term + dens_term)
 
@@ -290,7 +294,7 @@ class DensityModel:
         live = wts > 0.0
         if not np.any(live):
             return -b
-        Fl = tuple(c[live] for c in DF)
+        Fl = DF[live]
         G = self.metric.gram(Fl, Fl)
         sw = np.sqrt(wts[live])
         B = sw[:, None] * G * sw[None, :]
@@ -307,7 +311,7 @@ class DensityModel:
         h = self._h
         cw = self.pair.C * self.w_G
         vec_coef = dk_over_d / h**3
-        vnorm = self._norm(tuple((vec_coef @ c)[None, :] for c in DF))
+        vnorm = self._norm(vec_coef @ DF)
         # scalar sum: (1/h^2) [ (1/h) k'(d/h) (d + 1/d) + k(d/h) ]; at d = 0
         # the k'd term vanishes and k'/d takes its continuity-extension limit
         zero = d == 0.0

@@ -156,6 +156,28 @@ class TestCluster:
         assert "curves are identical under the l2 distance" in err
         assert not (tmp_path / "o.txt").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("option, setting", [
+        ("--merge-factor", "merge_radius_factor"),
+        ("--step-tol", "step_tolerance"),
+        ("--perturb", "perturbation_scale"),
+        ("--bandwidth", "bandwidth"),
+        ("--deriv-bandwidth", "local_poly requires a positive finite")])
+    def test_non_finite_settings_are_exit_2(self, option, setting, value,
+                                            curves_csv, tmp_path, capsys):
+        args = ["cluster", "--input", curves_csv, "--out", tmp_path / "o.txt",
+                option, value]
+        if option != "--bandwidth":
+            args += ["--bandwidth-frac", 0.3]
+        if option == "--deriv-bandwidth":
+            args += ["--distance", "sobolev_h1", "--deriv-method", "local_poly"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        # the setting is named, not the curves it would have made non-finite
+        assert f"category=input: {setting}" in err
+        assert "finite" in err
+        assert not (tmp_path / "o.txt").exists()
+
     def test_no_partial_output_on_failure(self, curves_csv, tmp_path):
         out = tmp_path / "report.txt"
         out.write_text("previous contents")

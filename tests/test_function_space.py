@@ -216,6 +216,12 @@ class TestDerivatives:
         with pytest.raises(ValueError):
             DerivativeMethod("local_poly", degree=2, bandwidth=None)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_local_poly_rejects_a_non_finite_bandwidth(self, bad):
+        # nan weights would silently fall back to the nearest-points fit
+        with pytest.raises(ValueError, match="finite"):
+            DerivativeMethod("local_poly", degree=2, bandwidth=bad)
+
 
 class TestSample:
     def test_matrix_roundtrip(self):

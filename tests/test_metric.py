@@ -197,11 +197,28 @@ class TestMetricOracle:
         ref_paper = cw * (2.0 * np.sqrt(ip(v, v)) - scalar)
         assert model.lambda_paper(Curve(grid, x)) == pytest.approx(ref_paper, rel=1e-9)
 
+    @pytest.mark.parametrize("method", [
+        DerivativeMethod(), DerivativeMethod("local_poly", 2, 0.1)],
+        ids=["finite_difference", "local_poly"])
+    @pytest.mark.parametrize("kind, order", [
+        ("l2", 1), ("derivative_l2", 1), ("derivative_l2", 2), ("sobolev_h1", 1)])
+    def test_a_curve_is_at_distance_zero_from_itself(self, kind, order, method):
+        grid = Grid(np.linspace(0.0, 1.0, 25))
+        V = np.random.default_rng(5).standard_normal((10, 25))
+        model = DensityModel(FunctionalSample.from_matrix(grid, V),
+                             builtin_pair("gaussian_gaussian"),
+                             DistanceSpec(kind, order, method), bandwidth=1.0,
+                             normalized=False)
+        assert np.all(np.diag(model.pairwise_distances) == 0.0)
+        for i, row in enumerate(V):
+            # a fresh copy of the values, not the sample's own curve
+            assert model.distances_to(Curve(grid, row.copy()))[i] == 0.0
+
     def test_l2_components_are_the_values(self):
         # the l2 metric applies no operator, not even an identity matmul
         grid = Grid(np.linspace(0.0, 1.0, 9))
         V = np.arange(18.0).reshape(2, 9)
-        assert Metric(grid, DistanceSpec()).components(V)[0] is V
+        assert Metric(grid, DistanceSpec()).components(V) is V
 
     @pytest.mark.parametrize("spec", [
         DistanceSpec("sobolev_h1", derivative_method=DerivativeMethod(

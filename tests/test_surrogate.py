@@ -110,6 +110,16 @@ class TestHandComputedDensities:
         with pytest.raises(ValueError):
             BandwidthRule.per_datum([1.0, 2.0]).resolve(3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bandwidth_rule_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BandwidthRule.fixed(bad)
+        with pytest.raises(ValueError, match="finite"):
+            BandwidthRule.per_datum([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            DensityModel(FunctionalSample.from_matrix(GRID, np.zeros((2, len(GRID)))),
+                         builtin_pair("gaussian_gaussian"), bandwidth=bad)
+
 
 class TestGradientOracle:
     @pytest.mark.parametrize("seed", range(8))
