@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bandwidth import ScanSpec, _max_distance, _rounding_level, scan
-from .engine import MeanShiftConfig, cluster
+from .engine import OUTSIDE_SUPPORT, MeanShiftConfig, cluster
 from .experiments import GeneratorSpec, fpca_kmeans, generate
 from .function_space import DerivativeMethod, DistanceSpec, FunctionalSample, Grid
 from .inference import TestConfig, test_modes
@@ -179,6 +179,16 @@ def _mode_report(args, sample, modes, digests, test_table=None,
     )
 
 
+def _start_counts(modes) -> str:
+    """The starts of a clustering that did not converge or began outside
+    every support ball, counted from their trajectories."""
+    outside = sum(1 for tr in modes.trajectories
+                  if tr.destination == OUTSIDE_SUPPORT)
+    unconverged = sum(1 for tr in modes.trajectories if not tr.converged) - outside
+    return (f"starts: {len(modes.trajectories)} (unconverged {unconverged}, "
+            f"outside support {outside})")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -197,6 +207,7 @@ def _cmd_cluster(args) -> int:
     print(f"clusters: {len(sizes)} "
           f"(non-atomic {sum(1 for s in sizes if s > 1)}), "
           f"sizes {sizes}", file=sys.stderr)
+    print(_start_counts(modes), file=sys.stderr)
     return EXIT_OK
 
 
@@ -261,6 +272,7 @@ def _cmd_test_modes(args) -> int:
     _write_atomic(args.out, run.to_text())
     print(f"candidates: {len(report.tested_mode_indices)}, "
           f"significant: {report.n_significant}", file=sys.stderr)
+    print(f"first half {_start_counts(report.candidates)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -80,7 +80,7 @@ class Grid:
 
     @cached_property
     def _derivative_operators(self) -> dict:
-        """Local-polynomial operators of this grid, keyed by (order, method)."""
+        """Derivative operators of this grid, keyed by (order, method)."""
         return {}
 
 
@@ -261,14 +261,20 @@ def _build_local_poly_operator(points, order, degree, bandwidth) -> np.ndarray:
                                  * math.factorial(order)).T)
 
 
-def _local_poly_operator(grid: Grid, order: int, method: DerivativeMethod) -> np.ndarray:
-    """The read-only local-polynomial operator of (grid, order, method),
-    built on the first request and kept on the grid."""
+def _derivative_operator(grid: Grid, order: int, method: DerivativeMethod) -> np.ndarray:
+    """The read-only L x L operator D of (grid, order, method), with ``v @ D``
+    the derivative of v; built on the first request and kept on the grid.
+
+    A finite-difference operator is ``_derivative_matrix`` of the identity.
+    """
     ops = grid._derivative_operators
     key = (order, method)
     if key not in ops:
-        D = _build_local_poly_operator(grid.points, order, method.degree,
-                                       method.bandwidth)
+        if method.kind == "finite_difference":
+            D = _derivative_matrix(np.eye(len(grid)), grid, order, method)
+        else:
+            D = _build_local_poly_operator(grid.points, order, method.degree,
+                                           method.bandwidth)
         D.setflags(write=False)
         ops[key] = D
     return ops[key]
@@ -284,20 +290,26 @@ def _derivative_matrix(values: np.ndarray, grid: Grid, order: int,
         for _ in range(order):
             out = np.gradient(out, grid.points, axis=-1)
         return out
-    return values @ _local_poly_operator(grid, order, method)
+    return values @ _derivative_operator(grid, order, method)
 
 
 # ---------------------------------------------------------------------------
 # Inner products and distances
 
 
-def _pairwise_component_l2(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted L2 distances between rows of A and rows of B."""
-    G = (A * w) @ B.T
-    na = np.einsum("ij,ij->i", A * w, A)
-    nb = np.einsum("ij,ij->i", B * w, B)
+def _pairwise_component_l2(A: np.ndarray, B: np.ndarray | None,
+                           w: np.ndarray) -> np.ndarray:
+    """Weighted L2 distances between rows of A and rows of B (of A itself
+    when B is None)."""
+    Aw = A * w
+    na = np.einsum("ij,ij->i", Aw, A)
+    if B is None:
+        G, nb = Aw @ A.T, na
+    else:
+        G, nb = Aw @ B.T, np.einsum("ij,ij->i", B * w, B)
     d2 = na[:, None] + nb[None, :] - 2.0 * G
-    return np.sqrt(np.clip(d2, 0.0, None))
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2, out=d2)
 
 
 class Metric:
@@ -320,8 +332,7 @@ class Metric:
             self.operators = (None,)  # None: the identity, applied without a matmul
         else:
             order = 1 if spec.kind == "sobolev_h1" else spec.order
-            D = _derivative_matrix(np.eye(len(grid)), grid, order,
-                                   spec.derivative_method)
+            D = _derivative_operator(grid, order, spec.derivative_method)
             self.operators = (None, D) if spec.kind == "sobolev_h1" else (D,)
         self.w = np.tile(grid.quad_weights, len(self.operators))
         self.w.setflags(write=False)
@@ -356,8 +367,10 @@ class Metric:
         so it serves only matrices between two curve sets; the distances of
         one curve are ``norms`` of its differences.
         """
-        A, B, W = self._blocks(FA), self._blocks(FB), self._blocks(self.w)
-        return sum(_pairwise_component_l2(A[:, j], B[:, j], w) for j, w in enumerate(W))
+        A, W = self._blocks(FA), self._blocks(self.w)
+        B = None if FB is FA else self._blocks(FB)
+        return sum(_pairwise_component_l2(A[:, j], None if B is None else B[:, j], w)
+                   for j, w in enumerate(W))
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two value vectors, from their difference."""

@@ -131,14 +131,14 @@ def _statistics(model: DensityModel, modes: dict, where: str) -> dict:
     """{statistic name: [value at each mode]} for ``modes``, a dict from
     candidate index to mode. A non-finite value raises; it is never redrawn,
     since a redraw would condition the bootstrap distribution on finiteness."""
+    values = model.curvature_statistics(list(modes.values()))
     out = {}
-    for name in STATISTICS:
-        row = [float(getattr(model, name)(mode)) for mode in modes.values()]
+    for name, row in zip(STATISTICS, values):
         for j, v in zip(modes, row):
             if not np.isfinite(v):
                 raise FloatingPointError(
                     f"{name} is {v} at candidate mode {j} {where}")
-        out[name] = row
+        out[name] = row.tolist()
     return out
 
 

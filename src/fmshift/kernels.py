@@ -36,13 +36,15 @@ class ShadowRelationError(ValueError):
 
 
 def _on_support(t, f):
-    """f(t) on the support t <= 1 and zero outside; a float for a scalar t."""
+    """f(t) on the support t <= 1 and zero outside; a float for a scalar t.
+
+    f sees every t clipped to 1, so no boolean gather is needed; a scalar
+    goes through as a 1-element array, since f may assign by mask.
+    """
     t = np.asarray(t, dtype=float)
-    inside = t <= 1.0
-    out = np.zeros(t.shape)
-    if np.any(inside):
-        out[inside] = f(t[inside])
-    return out if out.ndim else float(out)
+    s = t.reshape(t.shape or (1,))
+    out = np.where(s <= 1.0, f(np.minimum(s, 1.0)), 0.0)
+    return out if t.ndim else float(out[0])
 
 
 def _central(f, t, eps):

@@ -112,22 +112,21 @@ class DensityModel:
         self._h = bandwidth.resolve(self._n)
         self._F = self.metric.components(self._V)
 
-        self.pairwise_distances = self.metric.pairwise(self._F, self._F)
+        D = self.metric.pairwise(self._F, self._F)
+        # the minimum is over the pairs i != j: the diagonal holds inf meanwhile
+        np.fill_diagonal(D, np.inf)
+        self.min_pairwise_distance = float(D.min()) if self._n > 1 else 0.0
         # the Gram form leaves rounding on the diagonal; a curve is at
         # distance exactly 0 from itself, as in the difference form
-        np.fill_diagonal(self.pairwise_distances, 0.0)
-        off = ~np.eye(self._n, dtype=bool)
-        if self._n > 1:
-            self.min_pairwise_distance = float(self.pairwise_distances[off].min())
-            self.max_pairwise_distance = float(self.pairwise_distances[off].max())
-        else:
-            self.min_pairwise_distance = 0.0
-            self.max_pairwise_distance = 0.0
+        np.fill_diagonal(D, 0.0)
+        self.pairwise_distances = D
+        self.max_pairwise_distance = float(D.max())
 
         if self.normalized and self._n > 1:
-            T = self.pairwise_distances / self._h[:, None]  # datum i uses h(X_i)
-            sum_k = float(self.pair.k(T)[off].sum())
-            sum_g = float(self.pair.g(T)[off].sum())
+            T = D / self._h[:, None]  # datum i uses h(X_i)
+            np.fill_diagonal(T, np.inf)  # pairs i != j only: profiles vanish at inf
+            sum_k = float(self.pair.k(T).sum())
+            sum_g = float(self.pair.g(T).sum())
             if sum_k <= 0.0 or sum_g <= 0.0:
                 raise NormalizerError(
                     "pairwise normalizer is zero: no sample pair within "
@@ -148,27 +147,26 @@ class DensityModel:
             raise GridMismatchError("query curve is not on the sample grid")
         return self.metric.components(x.values)
 
-    def _norm(self, F: np.ndarray) -> float:
-        return float(np.sqrt(max(self.metric.gram(F, F), 0.0)))
-
     def distances_to(self, x: Curve) -> np.ndarray:
         """d(X_i, x) for every sample curve, under the model's distance."""
-        return self._diff(x)[1]
+        return self._diff(self._components(x))[1]
 
     def ip_norm(self, v: Curve) -> float:
         """Norm induced by the inner product of the distance spec."""
-        return self._norm(self._components(v))
+        F = self._components(v)
+        return float(np.sqrt(max(self.metric.gram(F, F), 0.0)))
 
-    def _diff(self, x: Curve):
+    def _diff(self, XF: np.ndarray):
         """Components of the rows X_i - x, and the distances d(X_i, x) they
-        give.
+        give, for the component row XF of a query x (n x P and n), or for
+        each row of a stack of them (r x n x P and r x n).
 
         By linearity the components of X_i - x are F(X_i) - F(x), so a query
         applies the metric operators to x alone. The distances come from these
         differences, not from the Gram form, so a sample curve is at distance
         exactly 0 from itself.
         """
-        DF = self._F - self._components(x)
+        DF = self._F - XF[..., None, :]
         return DF, self.metric.norms(DF)
 
     # -- density estimates --------------------------------------------------
@@ -250,13 +248,15 @@ class DensityModel:
             )
         return c0
 
-    def _curvature_terms(self, x: Curve) -> tuple:
-        """DF, d, k(d/h), k'(d/h) and k'(d/h)/d for the rows X_i - x.
+    def _curvature_terms(self, XF: np.ndarray) -> tuple:
+        """DF, d, k(d/h), k'(d/h) and k'(d/h)/d for the rows X_i - x of each
+        query x, given the r x P stack XF of the queries' component rows: DF
+        is r x n x P, the others r x n.
 
         k'(d/h)/d is set to 0 where d = 0. A zero distance with k'(0) != 0
         needs the profile limit lim k'(t)/t and raises if it is unavailable.
         """
-        DF, d = self._diff(x)
+        DF, d = self._diff(XF)
         t = d / self._h
         kv = self.pair.k(t)
         dk = self.pair.k.deriv(t)
@@ -269,7 +269,8 @@ class DensityModel:
 
     def hessian_form(self, x: Curve, y: Curve, z: Curve) -> float:
         """Second Gateaux differential of p~ at x evaluated at (y, z)."""
-        DF, _, kv, _, dk_over_d = self._curvature_terms(x)
+        DF, _, kv, _, dk_over_d = (a[0] for a in
+                                   self._curvature_terms(self._components(x)[None]))
         yF, zF = self._components(y), self._components(z)
         h = self._h
         ip_y = self.metric.gram(DF, yF)
@@ -279,43 +280,55 @@ class DensityModel:
         dens_term = float((kv / h**2).sum()) * ip_yz
         return -self.pair.C * self.w_G * (pair_term + dens_term)
 
-    def lambda_eigen(self, x: Curve) -> float:
-        """sup over unit y of the second differential, by eigendecomposition.
+    def curvature_statistics(self, xs) -> tuple:
+        """``lambda_eigen`` and ``lambda_paper`` at each query curve of
+        ``xs``, as two arrays, from one stacked set of curvature terms.
 
-        The quadratic form is sum_i w_i <X_i - x, y>^2 - b ||y||^2 with
-        w_i >= 0, so the supremum is the largest eigenvalue of the Gram-reduced
-        rank-n operator minus b.
+        The second differential at x is sum_i w_i <X_i - x, y>^2 - b ||y||^2
+        with w_i >= 0. Its supremum over unit y, ``lambda_eigen``, is the top
+        eigenvalue of the operator sum_i w_i <X_i - x, .> (X_i - x) minus b;
+        only the live rows (w_i > 0) enter. With A the live component rows
+        scaled by sqrt(w_i) and by the square roots of the metric weights,
+        that eigenvalue is the top one of A A^T and of A^T A alike, so each
+        query takes the smaller of the two, in one ``eigvalsh`` of its own:
+        a query's values do not depend on the others in the batch.
+
+        ``lambda_paper`` is the closed-form statistic transcribed from its
+        derivation. Kept alongside ``lambda_eigen`` for comparison; the two
+        need not agree (see README) and reports carry both. At a zero
+        distance it takes the profile limit lim k'(t)/t, and raises if that
+        limit is unavailable.
         """
-        DF, _, kv, _, dk_over_d = self._curvature_terms(x)
+        XF = np.array([self._components(x) for x in xs])
+        DF, d, kv, dk, dk_over_d = self._curvature_terms(XF)
         h = self._h
         cw = self.pair.C * self.w_G
-        b = cw * float((kv / h**2).sum())
+        b = cw * (kv / h**2).sum(axis=-1)
         wts = -cw * dk_over_d / h**3  # >= 0 since k' <= 0
-        live = wts > 0.0
-        if not np.any(live):
-            return -b
-        Fl = DF[live]
-        G = self.metric.gram(Fl, Fl)
-        sw = np.sqrt(wts[live])
-        B = sw[:, None] * G * sw[None, :]
-        lam_max = float(np.linalg.eigvalsh(B)[-1])
-        return max(lam_max, 0.0) - b
+        root_w = np.sqrt(self.metric.w)
+        lam_eigen = -b
+        for c, live in enumerate(wts > 0.0):
+            if not np.any(live):
+                continue
+            A = DF[c, live] * np.sqrt(wts[c, live])[:, None] * root_w
+            B = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+            lam_eigen[c] = max(float(np.linalg.eigvalsh(B)[-1]), 0.0) - b[c]
 
-    def lambda_paper(self, x: Curve) -> float:
-        """Closed-form curvature statistic, transcribed from its derivation.
-
-        Kept alongside ``lambda_eigen`` for comparison; the two need not agree
-        (see README) and reports carry both.
-        """
-        DF, d, kv, dk, dk_over_d = self._curvature_terms(x)
-        h = self._h
-        cw = self.pair.C * self.w_G
-        vec_coef = dk_over_d / h**3
-        vnorm = self._norm(vec_coef @ DF)
+        v = ((dk_over_d / h**3)[:, None, :] @ DF)[:, 0]
+        vnorm = np.sqrt(np.maximum((v * self.metric.w * v).sum(axis=-1), 0.0))
         # scalar sum: (1/h^2) [ (1/h) k'(d/h) (d + 1/d) + k(d/h) ]; at d = 0
         # the k'd term vanishes and k'/d takes its continuity-extension limit
         zero = d == 0.0
         if np.any(zero):
             dk_over_d = np.where(zero, self._curvature_limit() / h, dk_over_d)
-        scalar = float(((dk * d + dk_over_d) / h**3 + kv / h**2).sum())
-        return cw * (2.0 * vnorm - scalar)
+        scalar = ((dk * d + dk_over_d) / h**3 + kv / h**2).sum(axis=-1)
+        return lam_eigen, cw * (2.0 * vnorm - scalar)
+
+    def lambda_eigen(self, x: Curve) -> float:
+        """sup over unit y of the second differential at x; see
+        ``curvature_statistics``."""
+        return float(self.curvature_statistics([x])[0][0])
+
+    def lambda_paper(self, x: Curve) -> float:
+        """Closed-form curvature statistic at x; see ``curvature_statistics``."""
+        return float(self.curvature_statistics([x])[1][0])

@@ -188,6 +188,31 @@ class TestCluster:
         assert out.read_text() == "previous contents"
 
 
+class TestStartCounts:
+    # one mean-shift step leaves every start unconverged on these curves; the
+    # default 500 converge them all
+    @pytest.mark.parametrize("command, prefix, n", [
+        (["cluster", "--bandwidth-frac", 0.3], "starts", 30),
+        (["test-modes", "--bandwidth-percentile", 41, "--boot", 100],
+         "first half starts", 15)], ids=["cluster", "test-modes"])
+    def test_stderr_names_unconverged_and_outside_starts(self, command, prefix,
+                                                         n, curves_csv,
+                                                         tmp_path, capsys):
+        reports = []
+        for iters, unconverged in [(1, n), (500, 0)]:
+            out = tmp_path / f"o{iters}.txt"
+            assert run(command + ["--input", curves_csv, "--out", out,
+                                  "--max-iters", iters]) == 0
+            err = capsys.readouterr().err
+            assert (f"{prefix}: {n} (unconverged {unconverged}, "
+                    "outside support 0)") in err.splitlines()
+            reports.append(out.read_text())
+        # the counts go to stderr only; the report format is unchanged
+        for text in reports:
+            assert "unconverged" not in text and "outside support" not in text
+            parse_report(text)
+
+
 class TestScan:
     def test_table_shape(self, curves_csv, tmp_path):
         out = tmp_path / "scan.csv"
@@ -246,8 +271,13 @@ class TestTestModes:
 
     def test_non_finite_statistic_is_exit_3(self, curves_csv, tmp_path,
                                             monkeypatch, capsys):
-        monkeypatch.setattr(DensityModel, "lambda_paper",
-                            lambda self, x: float("nan"))
+        real = DensityModel.curvature_statistics
+
+        def statistics(self, xs):
+            eigen, paper = real(self, xs)
+            return eigen, paper * np.nan
+
+        monkeypatch.setattr(DensityModel, "curvature_statistics", statistics)
         rc = run(["test-modes", "--input", curves_csv,
                   "--bandwidth-percentile", 41, "--boot", 100,
                   "--out", tmp_path / "tm.txt"])

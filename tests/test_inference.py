@@ -251,16 +251,19 @@ class TestModeTestFailures:
         cfg = ModeTestConfig(n_boot=100)
         r = len(run_mode_test(sample, pair, bandwidth=2.0, t_cfg=cfg).records)
         assert r > 0
-        real, calls = DensityModel.lambda_paper, []
+        real, calls = DensityModel.curvature_statistics, []
 
-        def paper(self, x):
-            # finite on the second half, non-finite from the first replicate on
-            calls.append(x)
-            return float("nan") if len(calls) > r else real(self, x)
+        def statistics(self, xs):
+            # one call per model, for every candidate: finite on the second
+            # half, lambda_paper non-finite from the first replicate on
+            calls.append(xs)
+            eigen, paper = real(self, xs)
+            return eigen, paper * np.nan if len(calls) > 1 else paper
 
-        monkeypatch.setattr(DensityModel, "lambda_paper", paper)
+        monkeypatch.setattr(DensityModel, "curvature_statistics", statistics)
         with pytest.raises(FloatingPointError,
                            match=r"lambda_paper is nan at candidate mode \d+ "
                                  r"in replicate 0"):
             run_mode_test(sample, pair, bandwidth=2.0, t_cfg=cfg)
-        assert len(calls) == 2 * r  # replicate 0 was not redrawn
+        # the second half, then replicate 0, which was not redrawn
+        assert [len(xs) for xs in calls] == [r, r]

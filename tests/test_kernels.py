@@ -248,7 +248,8 @@ class TestProfileMasking:
     POINTS = [0.0, 0.25, 1.0, 1.5,
               np.linspace(0.0, 1.3, 53),  # holds t = 1 and t > 1
               np.array([[0.0, 1e-9, 0.999999], [1.0, 1.0 + 1e-12, 7.0]]),
-              np.array([2.0, 3.0])]  # nothing inside the support
+              np.array([2.0, 3.0]),  # nothing inside the support
+              np.inf]  # the diagonal of a model build's normalizer sums
 
     @pytest.mark.parametrize("label,profile", list(_profiles_under_test()))
     @pytest.mark.parametrize("method", ["__call__", "deriv", "deriv2"])

@@ -251,6 +251,27 @@ UNIFORM = np.linspace(0.0, 1.0, 40)
 NON_UNIFORM = np.sort(np.random.default_rng(11).uniform(0.0, 1.0, 40))
 
 
+class TestFiniteDifferenceOperator:
+    @pytest.mark.parametrize("points", [UNIFORM, NON_UNIFORM],
+                             ids=["uniform", "non_uniform"])
+    @pytest.mark.parametrize("kind,order", [("derivative_l2", 1),
+                                            ("derivative_l2", 2),
+                                            ("sobolev_h1", 1)])
+    def test_built_once_per_grid_read_only_and_unchanged(self, points, kind,
+                                                         order):
+        grid = Grid(points)
+        spec = DistanceSpec(kind, order=order)
+        D = Metric(grid, spec).operators[-1]
+        assert Metric(grid, spec).operators[-1] is D
+        with pytest.raises(ValueError, match="read-only"):
+            D[0, 0] = 1.0
+        want = np.eye(len(points))
+        for _ in range(order):
+            want = np.gradient(want, points, axis=-1)
+        assert np.array_equal(D, want)
+        assert list(grid._derivative_operators) == [(order, DerivativeMethod())]
+
+
 class TestLocalPolyOperator:
     @pytest.mark.parametrize("points", [UNIFORM, NON_UNIFORM],
                              ids=["uniform", "non_uniform"])
@@ -263,15 +284,15 @@ class TestLocalPolyOperator:
                                                      degree, order):
         grid = Grid(points)
         method = DerivativeMethod("local_poly", degree, bandwidth)
-        D = function_space._local_poly_operator(grid, order, method)
+        D = function_space._derivative_operator(grid, order, method)
         assert np.array_equal(
             D, local_poly_operator_reference(points, order, degree, bandwidth))
 
     def test_built_once_per_grid_and_read_only(self):
         grid = Grid(UNIFORM)
         method = DerivativeMethod("local_poly", 2, 0.04)
-        D = function_space._local_poly_operator(grid, 1, method)
-        assert function_space._local_poly_operator(grid, 1, method) is D
+        D = function_space._derivative_operator(grid, 1, method)
+        assert function_space._derivative_operator(grid, 1, method) is D
         assert D.flags.c_contiguous  # the BLAS path of a column-by-column fill
         with pytest.raises(ValueError, match="read-only"):
             D[0, 0] = 1.0
@@ -279,11 +300,11 @@ class TestLocalPolyOperator:
     def test_order_and_method_key_their_own_operators(self):
         grid = Grid(UNIFORM)
         method = DerivativeMethod("local_poly", 2, 0.04)
-        D = function_space._local_poly_operator(grid, 1, method)
-        others = [function_space._local_poly_operator(grid, 2, method),
-                  function_space._local_poly_operator(
+        D = function_space._derivative_operator(grid, 1, method)
+        others = [function_space._derivative_operator(grid, 2, method),
+                  function_space._derivative_operator(
                       grid, 1, DerivativeMethod("local_poly", 3, 0.04)),
-                  function_space._local_poly_operator(
+                  function_space._derivative_operator(
                       grid, 1, DerivativeMethod("local_poly", 2, 0.05))]
         for E in others:
             assert E is not D and not np.array_equal(E, D)

@@ -4,17 +4,24 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from fmshift import (
+    BUILTIN_PAIR_NAMES,
     BandwidthRule,
     Curve,
     DensityModel,
+    DerivativeMethod,
     DistanceSpec,
     FunctionalSample,
     Grid,
+    KernelPair,
     NormalizerError,
     OutsideSupportError,
+    Profile,
+    SingularEvaluationError,
     builtin_pair,
 )
 
@@ -348,3 +355,167 @@ class TestCompactSupport:
             far = Curve(GRID, np.full(len(GRID), 30.0))
             assert model.density_k(far, normalized=False) == 0.0
             assert model.density_g(far, normalized=False) == 0.0
+
+
+# -- the per-x statistics, as first written: the oracle of the batch ------------
+
+
+def per_x_curvature_terms(model, x):
+    """DF, d, k, k' and k'/d for the rows X_i - x of one query."""
+    DF = model._F - model.metric.components(x.values)
+    d = model.metric.norms(DF)
+    t = d / model._h
+    kv, dk = model.pair.k(t), model.pair.k.deriv(t)
+    zero = d == 0.0
+    if np.any(zero & (dk != 0.0)):
+        model._curvature_limit()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dk_over_d = np.where(zero, 0.0, dk / np.where(zero, 1.0, d))
+    return DF, d, kv, dk, dk_over_d
+
+
+def lambda_eigen_reference(model, x):
+    """Top eigenvalue of the Gram-reduced form over the live rows, minus b."""
+    DF, _, kv, _, dk_over_d = per_x_curvature_terms(model, x)
+    h, cw = model._h, model.pair.C * model.w_G
+    b = cw * float((kv / h**2).sum())
+    wts = -cw * dk_over_d / h**3
+    live = wts > 0.0
+    if not np.any(live):
+        return -b
+    Fl = DF[live]
+    G = model.metric.gram(Fl, Fl)
+    sw = np.sqrt(wts[live])
+    B = sw[:, None] * G * sw[None, :]
+    return max(float(np.linalg.eigvalsh(B)[-1]), 0.0) - b
+
+
+def lambda_paper_reference(model, x):
+    DF, d, kv, dk, dk_over_d = per_x_curvature_terms(model, x)
+    h, cw = model._h, model.pair.C * model.w_G
+    v = (dk_over_d / h**3) @ DF
+    vnorm = float(np.sqrt(max(model.metric.gram(v, v), 0.0)))
+    zero = d == 0.0
+    if np.any(zero):
+        dk_over_d = np.where(zero, model._curvature_limit() / h, dk_over_d)
+    scalar = float(((dk * d + dk_over_d) / h**3 + kv / h**2).sum())
+    return cw * (2.0 * vnorm - scalar)
+
+
+def live_rows(model, x):
+    """Number of rows with k'(d/h) < 0, the rows lambda_eigen uses."""
+    return int(np.count_nonzero(per_x_curvature_terms(model, x)[4] < 0.0))
+
+
+SMOOTH = DerivativeMethod("local_poly", 2, 0.15)
+SPECS = {
+    "l2": DistanceSpec("l2"),
+    "derivative_l2_fd": DistanceSpec("derivative_l2", order=1),
+    "derivative_l2_local_poly": DistanceSpec("derivative_l2", order=1,
+                                             derivative_method=SMOOTH),
+    "sobolev_h1_fd": DistanceSpec("sobolev_h1"),
+    "sobolev_h1_local_poly": DistanceSpec("sobolev_h1",
+                                          derivative_method=SMOOTH),
+}
+
+
+def smooth_model(seed, spec, kernel, n, reach=0.6):
+    """n smooth curves, with h at ``reach`` times the largest pairwise
+    distance, and queries: a random curve, a sample curve and one beyond every
+    support."""
+    rng = np.random.default_rng(seed)
+    t = GRID.points
+    M = (rng.standard_normal((n, 1)) * np.sin(2 * np.pi * t)
+         + rng.standard_normal((n, 1)) * np.cos(np.pi * t)
+         + 0.05 * rng.standard_normal((n, len(GRID))))
+    sample = FunctionalSample.from_matrix(GRID, M)
+    pair = builtin_pair(kernel)
+    h = reach * DensityModel(sample, pair, spec, normalized=False).max_pairwise_distance
+    model = DensityModel(sample, pair, spec, bandwidth=h)
+    queries = {"random": Curve(GRID, M.mean(axis=0) + 0.1 * rng.standard_normal(len(GRID))),
+               "sample": sample.curves[1],
+               "beyond": Curve(GRID, M[0] + 1e3 * (1.0 + t))}
+    return model, queries
+
+
+def assert_close(got, want):
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (got, want)
+
+
+class TestCurvatureStatisticsOracle:
+    @pytest.mark.parametrize("kernel", BUILTIN_PAIR_NAMES)
+    @pytest.mark.parametrize("spec", list(SPECS), ids=list(SPECS))
+    # 6 rows: at most 6 live rows against 15 or 30 components; 40 rows: more
+    # live rows than components, so the other Gram form
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_matches_the_per_x_statistics(self, kernel, spec, n):
+        model, queries = smooth_model(n, SPECS[spec], kernel, n)
+        xs = list(queries.values())
+        eigen, paper = model.curvature_statistics(xs)
+        for i, x in enumerate(xs):
+            assert_close(eigen[i], lambda_eigen_reference(model, x))
+            assert_close(paper[i], lambda_paper_reference(model, x))
+            assert model.lambda_eigen(x) == eigen[i]
+            assert model.lambda_paper(x) == paper[i]
+
+    @pytest.mark.parametrize("spec", list(SPECS), ids=list(SPECS))
+    def test_both_gram_forms_are_exercised(self, spec):
+        for n, rows_form in [(6, True), (40, False)]:
+            model, queries = smooth_model(n, SPECS[spec], "gaussian_gaussian", n)
+            r, width = live_rows(model, queries["random"]), model.metric.w.size
+            assert (r <= width) == rows_form, (n, r, width)
+
+    @pytest.mark.parametrize("kernel", BUILTIN_PAIR_NAMES)
+    def test_beyond_every_support_is_minus_b(self, kernel):
+        model, queries = smooth_model(3, SPECS["l2"], kernel, 8)
+        far = queries["beyond"]
+        assert live_rows(model, far) == 0
+        eigen, paper = model.curvature_statistics([far])
+        assert eigen[0] == lambda_eigen_reference(model, far) == 0.0
+        assert paper[0] == 0.0
+
+    def test_no_live_rows_inside_the_support_is_minus_b(self):
+        # the uniform profile has k' = 0: every row is in reach, none is live
+        model, queries = smooth_model(4, SPECS["l2"], "uniform_epanechnikov", 8)
+        x = queries["random"]
+        b = model.pair.C * model.w_G * float(model.pair.k(
+            model.distances_to(x) / model._h).sum() / model._h[0] ** 2)
+        assert b > 0.0 and live_rows(model, x) == 0
+        assert model.lambda_eigen(x) == lambda_eigen_reference(model, x)
+        assert model.lambda_eigen(x) == pytest.approx(-b, rel=1e-12)
+
+    def test_zero_distance_without_a_profile_limit_raises(self):
+        # k(t) = 1 - t: k'(0) = -1, so k'(t)/t has no finite limit at 0
+        k = Profile("linear", fn=lambda t: 1.0 - t,
+                    dfn=lambda t: -np.ones_like(t), curvature0=-np.inf)
+        pair = KernelPair(k=k, g=builtin_pair("epanechnikov_biweight").g, C=2.0)
+        model, queries = smooth_model(5, SPECS["l2"], "gaussian_gaussian", 6)
+        model = DensityModel(model.sample, pair, model.distance,
+                             bandwidth=float(model._h[0]))
+        x = queries["sample"]
+        for stat in (lambda_eigen_reference, lambda_paper_reference,
+                     DensityModel.lambda_eigen, DensityModel.lambda_paper):
+            with pytest.raises(SingularEvaluationError):
+                stat(model, x)
+        # away from the sample the statistics exist
+        y = queries["random"]
+        assert_close(model.lambda_eigen(y), lambda_eigen_reference(model, y))
+        assert_close(model.lambda_paper(y), lambda_paper_reference(model, y))
+
+
+class TestBatchIdentity:
+    @given(seed=st.integers(0, 2**32 - 1),
+           spec=st.sampled_from(list(SPECS)),
+           kernel=st.sampled_from(BUILTIN_PAIR_NAMES),
+           n=st.integers(2, 40),  # every pair in reach of h
+           picks=st.lists(st.integers(-2, 39), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_a_batch_equals_batches_of_one(self, seed, spec, kernel, n, picks):
+        # a pick >= 0 is a sample curve, -1 a random curve, -2 one beyond
+        # every support
+        model, queries = smooth_model(seed, SPECS[spec], kernel, n, reach=1.2)
+        xs = [queries["random"] if j == -1 else queries["beyond"] if j == -2
+              else model.sample.curves[j % n] for j in picks]
+        batch = np.array(model.curvature_statistics(xs))
+        ones = np.array([model.curvature_statistics([x]) for x in xs])[:, :, 0].T
+        assert np.array_equal(batch, ones)
