@@ -297,16 +297,11 @@ def _derivative_matrix(values: np.ndarray, grid: Grid, order: int,
 # Inner products and distances
 
 
-def _pairwise_component_l2(A: np.ndarray, B: np.ndarray | None,
-                           w: np.ndarray) -> np.ndarray:
-    """Weighted L2 distances between rows of A and rows of B (of A itself
-    when B is None)."""
-    Aw = A * w
-    na = np.einsum("ij,ij->i", Aw, A)
-    if B is None:
-        G, nb = Aw @ A.T, na
-    else:
-        G, nb = Aw @ B.T, np.einsum("ij,ij->i", B * w, B)
+def _pairwise_component_l2(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted L2 distances between rows of A and rows of B."""
+    G = (A * w) @ B.T
+    na = np.einsum("ij,ij->i", A * w, A)
+    nb = np.einsum("ij,ij->i", B * w, B)
     d2 = na[:, None] + nb[None, :] - 2.0 * G
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2, out=d2)
@@ -367,10 +362,8 @@ class Metric:
         so it serves only matrices between two curve sets; the distances of
         one curve are ``norms`` of its differences.
         """
-        A, W = self._blocks(FA), self._blocks(self.w)
-        B = None if FB is FA else self._blocks(FB)
-        return sum(_pairwise_component_l2(A[:, j], None if B is None else B[:, j], w)
-                   for j, w in enumerate(W))
+        A, B, W = self._blocks(FA), self._blocks(FB), self._blocks(self.w)
+        return sum(_pairwise_component_l2(A[:, j], B[:, j], w) for j, w in enumerate(W))
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two value vectors, from their difference."""

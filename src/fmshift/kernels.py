@@ -38,12 +38,15 @@ class ShadowRelationError(ValueError):
 def _on_support(t, f):
     """f(t) on the support t <= 1 and zero outside; a float for a scalar t.
 
-    f sees every t clipped to 1, so no boolean gather is needed; a scalar
-    goes through as a 1-element array, since f may assign by mask.
+    f sees every t outside the support as 0.5 and its value there is thrown
+    away, so no boolean gather is needed and f is called only on [0, 1]: a
+    profile singular at t = 1 is evaluated at 1 only where t is exactly 1. A
+    scalar goes through as a 1-element array, since f may assign by mask.
     """
     t = np.asarray(t, dtype=float)
     s = t.reshape(t.shape or (1,))
-    out = np.where(s <= 1.0, f(np.minimum(s, 1.0)), 0.0)
+    inside = s <= 1.0
+    out = np.where(inside, f(np.where(inside, s, 0.5)), 0.0)
     return out if t.ndim else float(out[0])
 
 
@@ -60,7 +63,8 @@ class Profile:
 
     ``fn`` evaluates the profile on [0, 1]; outside the support the profile is
     zero. ``dfn``/``d2fn`` are analytic derivatives on (0, 1) when available
-    (central differences are used as a fallback). ``curvature0`` is the finite
+    (central differences are used as a fallback). The three are called only
+    on [0, 1], so they need not be finite beyond the support. ``curvature0`` is the finite
     limit of k'(t)/t as t -> 0+, needed to evaluate curvature statistics at
     zero distance.
     """

@@ -289,9 +289,9 @@ class DensityModel:
         eigenvalue of the operator sum_i w_i <X_i - x, .> (X_i - x) minus b;
         only the live rows (w_i > 0) enter. With A the live component rows
         scaled by sqrt(w_i) and by the square roots of the metric weights,
-        that eigenvalue is the top one of A A^T and of A^T A alike, so each
-        query takes the smaller of the two, in one ``eigvalsh`` of its own:
-        a query's values do not depend on the others in the batch.
+        that eigenvalue is the top one of the live-rows Gram form A A^T,
+        taken in one ``eigvalsh`` per query: a query's values do not depend
+        on the others in the batch.
 
         ``lambda_paper`` is the closed-form statistic transcribed from its
         derivation. Kept alongside ``lambda_eigen`` for comparison; the two
@@ -311,8 +311,7 @@ class DensityModel:
             if not np.any(live):
                 continue
             A = DF[c, live] * np.sqrt(wts[c, live])[:, None] * root_w
-            B = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-            lam_eigen[c] = max(float(np.linalg.eigvalsh(B)[-1]), 0.0) - b[c]
+            lam_eigen[c] = max(float(np.linalg.eigvalsh(A @ A.T)[-1]), 0.0) - b[c]
 
         v = ((dk_over_d / h**3)[:, None, :] @ DF)[:, 0]
         vnorm = np.sqrt(np.maximum((v * self.metric.w * v).sum(axis=-1), 0.0))

@@ -265,6 +265,24 @@ class TestProfileMasking:
             assert type(got) is type(want), (label, method, t)
             assert np.array_equal(got, want), (label, method, t)
 
+    def test_user_profile_singular_at_one_is_quiet_off_the_boundary(self):
+        # k(t) = sqrt(1 - t): both derivatives blow up at t = 1 only, so
+        # points off t = 1 must not evaluate them there
+        p = Profile("sqrt", fn=lambda t: np.sqrt(1.0 - t),
+                    dfn=lambda t: -0.5 / np.sqrt(1.0 - t),
+                    d2fn=lambda t: -0.25 / (1.0 - t) ** 1.5)
+        ref = _MaskedReference(p)
+        points = [0.0, 0.5, 1.5, np.inf,
+                  np.linspace(0.0, 0.99, 12), np.linspace(1.01, 3.0, 12),
+                  np.array([[0.0, 0.3, np.inf], [2.0, 0.999, 1.0 + 1e-12]])]
+        for method in ("__call__", "deriv", "deriv2"):
+            for t in points:
+                with np.errstate(all="raise"):
+                    got = getattr(p, method)(t)
+                    want = getattr(ref, method)(t)
+                assert type(got) is type(want), (method, t)
+                assert np.array_equal(got, want), (method, t)
+
     def test_methods_stay_in_the_class_body(self):
         # span tracers wrap them through the class dictionary
         assert {"__call__", "deriv", "deriv2"} <= set(vars(Profile))

@@ -446,7 +446,7 @@ class TestCurvatureStatisticsOracle:
     @pytest.mark.parametrize("kernel", BUILTIN_PAIR_NAMES)
     @pytest.mark.parametrize("spec", list(SPECS), ids=list(SPECS))
     # 6 rows: at most 6 live rows against 15 or 30 components; 40 rows: more
-    # live rows than components, so the other Gram form
+    # live rows than components, a rank-deficient live-rows Gram form
     @pytest.mark.parametrize("n", [6, 40])
     def test_matches_the_per_x_statistics(self, kernel, spec, n):
         model, queries = smooth_model(n, SPECS[spec], kernel, n)
@@ -459,11 +459,11 @@ class TestCurvatureStatisticsOracle:
             assert model.lambda_paper(x) == paper[i]
 
     @pytest.mark.parametrize("spec", list(SPECS), ids=list(SPECS))
-    def test_both_gram_forms_are_exercised(self, spec):
-        for n, rows_form in [(6, True), (40, False)]:
+    def test_oracle_covers_few_and_many_live_rows(self, spec):
+        for n, few in [(6, True), (40, False)]:
             model, queries = smooth_model(n, SPECS[spec], "gaussian_gaussian", n)
             r, width = live_rows(model, queries["random"]), model.metric.w.size
-            assert (r <= width) == rows_form, (n, r, width)
+            assert (r <= width) == few, (n, r, width)
 
     @pytest.mark.parametrize("kernel", BUILTIN_PAIR_NAMES)
     def test_beyond_every_support_is_minus_b(self, kernel):
