@@ -64,9 +64,9 @@ class Profile:
     ``fn`` evaluates the profile on [0, 1]; outside the support the profile is
     zero. ``dfn``/``d2fn`` are analytic derivatives on (0, 1) when available
     (central differences are used as a fallback). The three are called only
-    on [0, 1], so they need not be finite beyond the support. ``curvature0`` is the finite
-    limit of k'(t)/t as t -> 0+, needed to evaluate curvature statistics at
-    zero distance.
+    on [0, 1], so they need not be finite beyond the support. ``curvature0``
+    is the finite limit of k'(t)/t as t -> 0+, needed to evaluate curvature
+    statistics at zero distance.
     """
 
     name: str
