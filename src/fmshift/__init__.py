@@ -63,7 +63,6 @@ from .kernels import (
 )
 from .reports import ModeTestTable, RunReport, ScanTable, parse_report
 from .surrogate import (
-    BandwidthRule,
     DensityModel,
     NormalizerError,
     OutsideSupportError,
@@ -77,7 +76,7 @@ __all__ = [
     "estimate_derivative", "linear_combination",
     "Profile", "KernelPair", "PairValidation", "ShadowRelationError",
     "builtin_pair", "shadow_of", "validate_pair", "BUILTIN_PAIR_NAMES",
-    "BandwidthRule", "DensityModel", "NormalizerError", "OutsideSupportError",
+    "DensityModel", "NormalizerError", "OutsideSupportError",
     "SingularEvaluationError",
     "MeanShiftConfig", "Trajectory", "ModeSet", "OUTSIDE_SUPPORT",
     "ascend", "cluster", "blurring_pass",

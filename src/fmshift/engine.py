@@ -185,15 +185,11 @@ def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
         if tr.destination == OUTSIDE_SUPPORT:
             stability.append(False)
             continue
-        dback = _distance_between(model, tr.terminal, mode)
+        dback = model.metric.distance(tr.terminal.values, mode.values)
         stability.append(bool(dback <= radius))
 
     return ModeSet(tuple(modes), tuple(assignments), tuple(atomic),
                    tuple(stability), tuple(trajectories))
-
-
-def _distance_between(model: DensityModel, a: Curve, b: Curve) -> float:
-    return model.metric.distance(a.values, b.values)
 
 
 def blurring_pass(model: DensityModel) -> FunctionalSample:

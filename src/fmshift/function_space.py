@@ -116,46 +116,66 @@ class Curve:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FunctionalSample:
-    """A set of curves observed on one common grid, with optional labels."""
+    """A set of curves observed on one common grid, with optional labels.
+
+    The values are one read-only n x L ``matrix``, validated once when the
+    sample is built; ``subset`` gathers its rows without checking them again.
+    """
 
     grid: Grid
-    curves: tuple
-    labels: tuple | None = None
+    matrix: np.ndarray
+    labels: tuple | None
 
-    def __post_init__(self):
-        curves = tuple(self.curves)
-        if len(curves) < 1:
-            raise ValueError("sample needs at least one curve")
+    def __init__(self, grid: Grid, curves: Sequence[Curve], labels=None):
+        curves = tuple(curves)
         for c in curves:
-            if c.grid != self.grid:
+            if c.grid != grid:
                 raise GridMismatchError("all curves must share the sample grid")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != len(curves):
+        values = np.array([c.values for c in curves]).reshape(len(curves), len(grid))
+        self._set(grid, values, labels)
+        self.__dict__["curves"] = curves
+
+    def _set(self, grid: Grid, values: np.ndarray, labels) -> "FunctionalSample":
+        """Take over a finite n x L matrix of values."""
+        if values.shape[0] < 1:
+            raise ValueError("sample needs at least one curve")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != values.shape[0]:
                 raise ValueError("one label per curve required")
-            object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "curves", curves)
+        values.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "matrix", values)
+        object.__setattr__(self, "labels", labels)
+        return self
 
     def __len__(self):
-        return len(self.curves)
+        return self.matrix.shape[0]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Stacked values, one row per curve."""
-        return np.array([c.values for c in self.curves])
+    @cached_property
+    def curves(self) -> tuple:
+        """One read-only curve per row of ``matrix``, unless the sample was
+        built from curves."""
+        return tuple(Curve(self.grid, row) for row in self.matrix)
 
     @classmethod
     def from_matrix(cls, grid: Grid, values: np.ndarray, labels=None) -> "FunctionalSample":
-        values = np.asarray(values, dtype=float)
-        return cls(grid, tuple(Curve(grid, row) for row in values), labels)
+        """A sample of the rows of a copy of the n x L array ``values``."""
+        values = np.array(values, dtype=float, order="C")
+        if values.ndim != 2 or values.shape[1] != len(grid):
+            raise ValueError(f"sample matrix must have shape (n, {len(grid)}) "
+                             f"for the grid, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("curve values must be finite")
+        return object.__new__(cls)._set(grid, values, labels)
 
     def subset(self, indices: Sequence[int]) -> "FunctionalSample":
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in indices)
-        return FunctionalSample(self.grid, tuple(self.curves[i] for i in indices), labels)
+        """The sample of the given rows, in the given order, repeats allowed."""
+        idx = np.asarray(indices, dtype=np.intp)
+        labels = None if self.labels is None else tuple(self.labels[i] for i in idx)
+        return object.__new__(FunctionalSample)._set(self.grid, self.matrix[idx], labels)
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,9 @@ def _split(sample: FunctionalSample, cfg: TestConfig, rng: np.random.Generator):
 def _resolve_bandwidth(bandwidth, subsample1: FunctionalSample):
     """Bandwidth may be a number or a callable evaluated on the mode-hunting
     subsample (e.g. a percentile of its pairwise distances)."""
+    if bandwidth is None:
+        raise ValueError("the mode test needs a bandwidth: a number or a "
+                         "callable of the mode-hunting subsample")
     if callable(bandwidth):
         return float(bandwidth(subsample1))
     return float(bandwidth)

@@ -94,6 +94,9 @@ def read_curves_csv(path) -> FunctionalSample:
         return label, values
 
     _, grid_vals = parse_row(lines[0], 1, allow_label=False)
+    if len(grid_vals) < 2:
+        raise InputFormatError(
+            f"{path}: grid row 1 has a single point; a grid needs at least 2")
     if not all(b > a for a, b in zip(grid_vals, grid_vals[1:])):
         raise InputFormatError(f"{path}: grid row is not strictly increasing")
     grid = Grid(np.array(grid_vals))
@@ -111,13 +114,13 @@ def read_curves_csv(path) -> FunctionalSample:
         any_label = any_label or label is not None
         rows.append(values)
     sample_labels = tuple(l if l is not None else "" for l in labels) if any_label else None
-    return FunctionalSample.from_matrix(grid, np.array(rows), sample_labels)
+    return FunctionalSample.from_matrix(grid, rows, sample_labels)
 
 
 def _curves_csv_text(sample: FunctionalSample) -> str:
     lines = [",".join(_fmt(p) for p in sample.grid.points)]
-    for i, c in enumerate(sample.curves):
-        cells = [_fmt(v) for v in c.values]
+    for i, row in enumerate(sample.matrix):
+        cells = [_fmt(v) for v in row]
         if sample.labels is not None:
             cells = [str(sample.labels[i])] + cells
         lines.append(",".join(cells))

@@ -12,7 +12,7 @@ two versions of the curvature statistic lambda = sup_{||y||=1} p~^(2)(y, y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .function_space import _derivative_matrix  # noqa: F401
 from .kernels import KernelPair
 
 __all__ = [
-    "BandwidthRule",
     "DensityModel",
     "NormalizerError",
     "OutsideSupportError",
@@ -48,41 +47,21 @@ class SingularEvaluationError(ValueError):
     """A curvature evaluation hit zero distance with no usable profile limit."""
 
 
-@dataclass(frozen=True)
-class BandwidthRule:
-    """Fixed bandwidth, or one positive bandwidth per sample curve.
-
-    Per-datum bandwidths may depend on the sample but never on the query
-    point.
-    """
-
-    kind: str
-    h: float | np.ndarray
-
-    @classmethod
-    def fixed(cls, h: float) -> "BandwidthRule":
-        if not np.isfinite(h) or h <= 0:
-            raise ValueError("bandwidth must be positive and finite")
-        return cls("fixed", float(h))
-
-    @classmethod
-    def per_datum(cls, hs) -> "BandwidthRule":
-        hs = np.asarray(hs, dtype=float)
-        if not np.all(np.isfinite(hs)) or np.any(hs <= 0):
-            raise ValueError("all bandwidths must be positive and finite")
-        return cls("per_datum", hs)
-
-    def resolve(self, n: int) -> np.ndarray:
-        if self.kind == "fixed":
-            return np.full(n, float(self.h))
-        hs = np.asarray(self.h, dtype=float)
-        if hs.size != n:
-            raise ValueError(f"need {n} per-datum bandwidths, got {hs.size}")
-        return hs
+def _bandwidths(bandwidth, n: int) -> np.ndarray:
+    """The n per-datum bandwidths of one number or of a sequence of n."""
+    h = np.array(bandwidth, dtype=float)
+    if h.ndim == 0:
+        h = np.full(n, float(h))
+    elif h.shape != (n,):
+        raise ValueError(f"need {n} per-datum bandwidths, got shape {h.shape}")
+    if not np.all(np.isfinite(h)) or np.any(h <= 0):
+        raise ValueError("bandwidth must be positive and finite")
+    return h
 
 
 class DensityModel:
-    """Bundles a sample, a kernel pair, a distance and a bandwidth rule.
+    """Bundles a sample, a kernel pair, a distance and a bandwidth: one
+    number, or one per sample curve (never depending on the query point).
 
     Immutable after construction; the pairwise-distance structure of the
     sample is computed once. With ``normalized=True`` the leave-one-out
@@ -95,21 +74,18 @@ class DensityModel:
 
     def __init__(self, sample: FunctionalSample, pair: KernelPair,
                  distance: DistanceSpec | None = None,
-                 bandwidth: BandwidthRule | float = 1.0,
+                 bandwidth: float | Sequence[float] = 1.0,
                  normalized: bool = True):
         self.sample = sample
         self.pair = pair
         self.distance = distance or DistanceSpec()
-        if not isinstance(bandwidth, BandwidthRule):
-            bandwidth = BandwidthRule.fixed(bandwidth)
-        self.bandwidth = bandwidth
         self.normalized = bool(normalized)
 
         self.grid = sample.grid
         self.metric = Metric(self.grid, self.distance)
         self._V = sample.matrix
         self._n = self._V.shape[0]
-        self._h = bandwidth.resolve(self._n)
+        self._h = _bandwidths(bandwidth, self._n)
         self._F = self.metric.components(self._V)
 
         D = self.metric.pairwise(self._F, self._F)
@@ -179,19 +155,17 @@ class DensityModel:
         h = self._h[:, None] if d.ndim == 2 else self._h
         return self.pair.k(d / h) / h**2
 
-    def _profile_sum(self, profile, x: Curve, w: float, normalized) -> float:
-        """sum profile(d(X, x)/h(X)), times ``w`` when normalized."""
-        s = float(profile(self.distances_to(x) / self._h).sum())
-        use_norm = self.normalized if normalized is None else normalized
-        return w * s if use_norm else s
+    def _profile_sum(self, profile, x: Curve, w: float) -> float:
+        """w * sum profile(d(X, x)/h(X)); w is 1 when not normalized."""
+        return w * float(profile(self.distances_to(x) / self._h).sum())
 
-    def density_k(self, x: Curve, normalized: bool | None = None) -> float:
+    def density_k(self, x: Curve) -> float:
         """K-based estimate w_K * sum k(d(X, x)/h(X)) (or the bare numerator)."""
-        return self._profile_sum(self.pair.k, x, self.w_K, normalized)
+        return self._profile_sum(self.pair.k, x, self.w_K)
 
-    def density_g(self, x: Curve, normalized: bool | None = None) -> float:
+    def density_g(self, x: Curve) -> float:
         """Shadow-based estimate p~(x), the functional mean shift ascends."""
-        return self._profile_sum(self.pair.g, x, self.w_G, normalized)
+        return self._profile_sum(self.pair.g, x, self.w_G)
 
     def p_bar(self, x: Curve) -> float:
         """Unnormalized bandwidth-weighted K estimate sum k(d/h)/h^2."""

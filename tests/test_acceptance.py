@@ -35,7 +35,6 @@ from fmshift import (
 )
 from fmshift import TestConfig as ModeTestConfig
 from fmshift import test_modes as run_mode_test
-from fmshift.engine import _distance_between
 
 SMOOTH_KERNELS = ("gaussian_gaussian", "epanechnikov_biweight",
                   "biweight_triweight")
@@ -202,7 +201,7 @@ def test_criterion_05_fixed_point_identity():
                      if a == j and ms.trajectories[i].converged]
             if not terms:
                 continue
-            Dj = max(_distance_between(model, mode, tt) for tt in terms)
+            Dj = max(model.metric.distance(mode.values, tt.values) for tt in terms)
             pb = max(model.p_bar(tt) for tt in terms)
             tol = pair.C * model.w_G * pb * cfg.step_tolerance + L * Dj
             gn = model.ip_norm(model.gradient(mode))

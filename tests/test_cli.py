@@ -178,6 +178,15 @@ class TestCluster:
         assert "finite" in err
         assert not (tmp_path / "o.txt").exists()
 
+    def test_single_point_grid_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "onepoint.csv"
+        bad.write_text("0.5\n1.0\n2.0\n")
+        out = tmp_path / "r.txt"
+        assert run(["cluster", "--input", bad, "--bandwidth", 1.0, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "category=input: " in err and "onepoint.csv: grid row 1" in err
+        assert not out.exists()
+
     def test_no_partial_output_on_failure(self, curves_csv, tmp_path):
         out = tmp_path / "report.txt"
         out.write_text("previous contents")

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmshift import (
     BUILTIN_PAIR_NAMES,
     OUTSIDE_SUPPORT,
-    BandwidthRule,
     Curve,
     DensityModel,
     DistanceSpec,
@@ -163,6 +164,16 @@ class TestCluster:
         ms = cluster(model)
         assert all(ms.stability_flags)
 
+    def test_starts_are_the_cached_sample_curves(self):
+        sample = gaussian_blob_sample(seed=2)
+        model = DensityModel(sample, builtin_pair("gaussian_gaussian"),
+                             bandwidth=2.0, normalized=False)
+        assert model._V is sample.matrix
+        ms = cluster(model)
+        for i, tr in enumerate(ms.trajectories):
+            assert sample.curves[i] is sample.curves[i]
+            assert tr.start is sample.curves[i] and tr.iterates[0] is tr.start
+
     def test_merge_radius_controls_mode_count(self):
         # two nearby terminal points: a generous merge radius fuses them
         sample = constant_sample([0.0, 0.6])
@@ -172,6 +183,31 @@ class TestCluster:
         loose = cluster(model, MeanShiftConfig(merge_radius_factor=2.0))
         assert tight.n_modes == 2
         assert loose.n_modes == 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["l2", "derivative_l2", "sobolev_h1"]))
+def test_samples_built_three_ways_cluster_identically(seed, kind):
+    rng = np.random.default_rng(seed)
+    n = 12
+    M = rng.standard_normal((n, len(GRID))) + np.repeat([0.0, 4.0], n // 2)[:, None]
+    perm = rng.permutation(n)
+    samples = [FunctionalSample(GRID, [Curve(GRID, row) for row in M]),
+               FunctionalSample.from_matrix(GRID, M),
+               FunctionalSample.from_matrix(GRID, M[perm]).subset(np.argsort(perm))]
+    pair, spec = builtin_pair("gaussian_gaussian"), DistanceSpec(kind)
+    h = 0.3 * DensityModel(samples[1], pair, spec,
+                           normalized=False).max_pairwise_distance
+    models = [DensityModel(s, pair, spec, bandwidth=h, normalized=False)
+              for s in samples]
+    runs = [cluster(m) for m in models]
+    for m, ms in zip(models[1:], runs[1:]):
+        assert np.array_equal(m.pairwise_distances, models[0].pairwise_distances)
+        assert ms.assignments == runs[0].assignments
+        assert ms.stability_flags == runs[0].stability_flags
+        for tr, tr0 in zip(ms.trajectories, runs[0].trajectories):
+            assert np.array_equal(tr.terminal.values, tr0.terminal.values)
 
 
 class TestConfig:
@@ -252,8 +288,7 @@ class TestBlurringOracle:
                             normalized=False).max_pairwise_distance
         rng = np.random.default_rng(4)
         bandwidth = {"fixed": 0.3 * dmax,
-                     "per_datum": BandwidthRule.per_datum(
-                         dmax * rng.uniform(0.1, 0.5, len(sample))),
+                     "per_datum": dmax * rng.uniform(0.1, 0.5, len(sample)),
                      "tiny": 1e-12}[rule]
         model = DensityModel(sample, pair, spec, bandwidth=bandwidth,
                              normalized=False)

@@ -1,5 +1,7 @@
 """Quadrature, distances and derivative estimation against analytic oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +240,62 @@ class TestSample:
         c = Curve(g2, np.zeros(12))
         with pytest.raises(GridMismatchError):
             FunctionalSample(g1, (c,))
+
+    def test_from_matrix_and_subset_build_no_curve(self, monkeypatch):
+        g = make_grid(11)
+        M = np.random.default_rng(0).standard_normal((1000, 11))
+        labels = tuple(range(1000))
+        built, compared = [], []
+        post_init, grid_eq = Curve.__post_init__, Grid.__eq__
+        monkeypatch.setattr(Curve, "__post_init__",
+                            lambda self: (built.append(1), post_init(self))[1])
+        monkeypatch.setattr(Grid, "__eq__",
+                            lambda self, other: (compared.append(1),
+                                                 grid_eq(self, other))[1])
+        s = FunctionalSample.from_matrix(g, M, labels)
+        idx = np.random.default_rng(1).integers(0, 1000, size=1000)
+        sub = s.subset(idx)
+        assert built == [] and compared == []
+        assert np.array_equal(sub.matrix, M[idx])
+        assert sub.labels == tuple(int(i) for i in idx)
+        assert not sub.matrix.flags.writeable
+
+    def test_from_matrix_copies_its_input(self):
+        g = make_grid(5)
+        M = np.arange(10.0).reshape(2, 5)
+        s = FunctionalSample.from_matrix(g, M)
+        assert M.flags.writeable and not np.shares_memory(s.matrix, M)
+        M[0, 0] = 99.0
+        assert s.matrix[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            s.matrix[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.matrix = M
+
+    @pytest.mark.parametrize("shape, message", [
+        ((5,), r"shape \(n, 5\) for the grid, got \(5,\)"),
+        ((2, 5, 1), r"shape \(n, 5\) for the grid, got \(2, 5, 1\)"),
+        ((2, 4), r"shape \(n, 5\) for the grid, got \(2, 4\)"),
+        ((0, 5), "at least one curve")], ids=["1-D", "3-D", "length", "no-rows"])
+    def test_from_matrix_rejects_a_wrong_shape(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            FunctionalSample.from_matrix(make_grid(5), np.zeros(shape))
+
+    def test_from_matrix_rejects_non_finite_values(self):
+        M = np.zeros((3, 5))
+        M[2, 1] = np.nan
+        with pytest.raises(ValueError, match="curve values must be finite"):
+            FunctionalSample.from_matrix(make_grid(5), M)
+
+    def test_curves_are_cached_row_views(self):
+        g = make_grid(5)
+        s = FunctionalSample.from_matrix(g, np.arange(10.0).reshape(2, 5))
+        assert s.curves is s.curves
+        assert all(c.values.base is s.matrix for c in s.curves)
+        given = (Curve(g, np.ones(5)), Curve(g, np.zeros(5)))
+        built = FunctionalSample(g, given)
+        assert built.curves[0] is given[0]
+        assert np.array_equal(built.matrix, [np.ones(5), np.zeros(5)])
 
     def test_linear_combination(self):
         g = make_grid(11)

@@ -240,6 +240,10 @@ def separated_levels():
 
 
 class TestModeTestFailures:
+    def test_a_missing_bandwidth_is_named(self):
+        with pytest.raises(ValueError, match="needs a bandwidth: a number or a callable"):
+            run_mode_test(two_blob_sample(), builtin_pair("gaussian_gaussian"))
+
     def test_second_half_normalizer_error_names_the_second_half(self):
         with pytest.raises(NormalizerError,
                            match=r"second half \(3 curves\) at bandwidth h=1:"):

@@ -79,6 +79,13 @@ class TestCurvesCSV:
         with pytest.raises(InputFormatError, match="strictly increasing"):
             read_curves_csv(p)
 
+    def test_single_point_grid_names_file_and_row(self, tmp_path):
+        p = tmp_path / "onepoint.csv"
+        p.write_text("0.5\n1.0\n")
+        with pytest.raises(InputFormatError,
+                           match=r"onepoint\.csv: grid row 1 has a single point"):
+            read_curves_csv(p)
+
     def test_needs_two_rows(self, tmp_path):
         p = tmp_path / "short.csv"
         p.write_text("0.0,1.0\n")

@@ -10,7 +10,6 @@ from scipy import optimize
 
 from fmshift import (
     BUILTIN_PAIR_NAMES,
-    BandwidthRule,
     Curve,
     DensityModel,
     DerivativeMethod,
@@ -101,31 +100,31 @@ class TestHandComputedDensities:
     def test_per_datum_bandwidths(self):
         sample = FunctionalSample.from_matrix(
             GRID, np.vstack([np.zeros(len(GRID)), np.ones(len(GRID))]))
-        rule = BandwidthRule.per_datum([1.5, 3.0])
         pair = builtin_pair("gaussian_gaussian")
-        model = DensityModel(sample, pair, bandwidth=rule, normalized=False)
+        model = DensityModel(sample, pair, bandwidth=[1.5, 3.0], normalized=False)
         x = Curve(GRID, np.full(len(GRID), 2.0))
         d = model.distances_to(x)
         expected = float(pair.k(d[0] / 1.5) + pair.k(d[1] / 3.0))
         assert model.density_k(x) == pytest.approx(expected)
 
-    def test_bandwidth_rule_validation(self):
-        with pytest.raises(ValueError):
-            BandwidthRule.fixed(0.0)
-        with pytest.raises(ValueError):
-            BandwidthRule.per_datum([1.0, -2.0])
-        with pytest.raises(ValueError):
-            BandwidthRule.per_datum([1.0, 2.0]).resolve(3)
+    def test_bandwidth_validation(self):
+        sample = FunctionalSample.from_matrix(GRID, np.zeros((2, len(GRID))))
+        pair = builtin_pair("gaussian_gaussian")
+        with pytest.raises(ValueError, match="positive"):
+            DensityModel(sample, pair, bandwidth=0.0)
+        with pytest.raises(ValueError, match="positive"):
+            DensityModel(sample, pair, bandwidth=[1.0, -2.0])
+        with pytest.raises(ValueError, match="need 2 per-datum bandwidths"):
+            DensityModel(sample, pair, bandwidth=[1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_bandwidth_rule_rejects_non_finite_values(self, bad):
+    def test_bandwidth_rejects_non_finite_values(self, bad):
+        sample = FunctionalSample.from_matrix(GRID, np.zeros((2, len(GRID))))
+        pair = builtin_pair("gaussian_gaussian")
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            DensityModel(sample, pair, bandwidth=bad)
         with pytest.raises(ValueError, match="finite"):
-            BandwidthRule.fixed(bad)
-        with pytest.raises(ValueError, match="finite"):
-            BandwidthRule.per_datum([1.0, bad])
-        with pytest.raises(ValueError, match="finite"):
-            DensityModel(FunctionalSample.from_matrix(GRID, np.zeros((2, len(GRID)))),
-                         builtin_pair("gaussian_gaussian"), bandwidth=bad)
+            DensityModel(sample, pair, bandwidth=np.array([1.0, bad]))
 
 
 class TestGradientOracle:
@@ -351,10 +350,12 @@ class TestLambdaOracle:
 class TestCompactSupport:
     def test_density_vanishes_beyond_reach(self):
         for kernel in ("uniform_epanechnikov", "biweight_triweight"):
-            model, _, _, _ = random_instance(1, kernel=kernel, h=1.5)
-            far = Curve(GRID, np.full(len(GRID), 30.0))
-            assert model.density_k(far, normalized=False) == 0.0
-            assert model.density_g(far, normalized=False) == 0.0
+            for normalized in (True, False):
+                model, _, _, _ = random_instance(1, kernel=kernel, h=1.5,
+                                                 normalized=normalized)
+                far = Curve(GRID, np.full(len(GRID), 30.0))
+                assert model.density_k(far) == 0.0
+                assert model.density_g(far) == 0.0
 
 
 # -- the per-x statistics, as first written: the oracle of the batch ------------
