@@ -59,6 +59,10 @@ class MeanShiftConfig:
             raise ValueError("perturbation_scale must be nonnegative and finite")
 
     def resolved(self, model: DensityModel) -> "MeanShiftConfig":
+        """This config with its None defaults filled in from the model; the
+        config itself once both are set."""
+        if self.step_tolerance is not None and self.perturbation_scale is not None:
+            return self
         h_ref = float(model._h.min())
         eps = self.step_tolerance
         if eps is None:

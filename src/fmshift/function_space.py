@@ -93,11 +93,10 @@ class Curve:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size != len(self.grid):
-            raise ValueError(
-                f"curve has {vals.size} values for a grid of length {len(self.grid)}"
-            )
-        if not np.all(np.isfinite(vals)):
+        n = self.grid.points.size
+        if vals.ndim != 1 or vals.size != n:
+            raise ValueError(f"curve has {vals.size} values for a grid of length {n}")
+        if not np.isfinite(vals).all():
             raise ValueError("curve values must be finite")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
@@ -349,7 +348,8 @@ class Metric:
             order = 1 if spec.kind == "sobolev_h1" else spec.order
             D = _derivative_operator(grid, order, spec.derivative_method)
             self.operators = (None, D) if spec.kind == "sobolev_h1" else (D,)
-        self.w = np.tile(grid.quad_weights, len(self.operators))
+        self.quad_weights = grid.quad_weights
+        self.w = np.tile(self.quad_weights, len(self.operators))
         self.w.setflags(write=False)
 
     def components(self, V: np.ndarray) -> np.ndarray:
@@ -372,8 +372,16 @@ class Metric:
 
     def norms(self, DF: np.ndarray) -> np.ndarray:
         """The distance each component row of a difference stands for: the
-        sum of its blockwise L2 norms (a scalar for a single row)."""
-        return np.sqrt(self._blocks(DF * DF * self.w).sum(axis=-1)).sum(axis=-1)
+        sum of its blockwise L2 norms (a scalar for a single row).
+
+        Each block of squares is reduced against the trapezoid weights on its
+        own, not by a matrix product, so a row's distance does not depend on
+        the rows stacked with it.
+        """
+        sq = np.einsum("...j,j->...", self._blocks(DF * DF), self.quad_weights)
+        if len(self.operators) == 1:
+            return np.sqrt(sq[..., 0])
+        return np.sqrt(sq).sum(axis=-1)
 
     def pairwise(self, FA: np.ndarray, FB: np.ndarray) -> np.ndarray:
         """Distances between the component rows of FA and FB, in Gram form.

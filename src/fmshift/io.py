@@ -97,8 +97,11 @@ def read_curves_csv(path) -> FunctionalSample:
     if len(grid_vals) < 2:
         raise InputFormatError(
             f"{path}: grid row 1 has a single point; a grid needs at least 2")
-    if not all(b > a for a, b in zip(grid_vals, grid_vals[1:])):
-        raise InputFormatError(f"{path}: grid row is not strictly increasing")
+    for j, (a, b) in enumerate(zip(grid_vals, grid_vals[1:]), start=2):
+        if not b > a:
+            raise InputFormatError(
+                f"{path}: grid row 1 is not strictly increasing at column {j}: "
+                f"{_fmt(b)} follows {_fmt(a)}")
     grid = Grid(np.array(grid_vals))
 
     labels, rows = [], []

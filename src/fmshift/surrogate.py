@@ -86,6 +86,7 @@ class DensityModel:
         self._V = sample.matrix
         self._n = self._V.shape[0]
         self._h = _bandwidths(bandwidth, self._n)
+        self._h2 = self._h**2
         self._F = self.metric.components(self._V)
 
         D = self.metric.pairwise(self._F, self._F)
@@ -125,7 +126,7 @@ class DensityModel:
 
     def distances_to(self, x: Curve) -> np.ndarray:
         """d(X_i, x) for every sample curve, under the model's distance."""
-        return self._diff(self._components(x))[1]
+        return self.metric.norms(self._F - self._components(x))
 
     def ip_norm(self, v: Curve) -> float:
         """Norm induced by the inner product of the distance spec."""
@@ -152,8 +153,9 @@ class DensityModel:
 
         ``d`` is a vector of distances d(X_i, x) or the n x n sample matrix.
         """
-        h = self._h[:, None] if d.ndim == 2 else self._h
-        return self.pair.k(d / h) / h**2
+        if d.ndim == 2:
+            return self.pair.k(d / self._h[:, None]) / self._h2[:, None]
+        return self.pair.k(d / self._h) / self._h2
 
     def _profile_sum(self, profile, x: Curve, w: float) -> float:
         """w * sum profile(d(X, x)/h(X)); w is 1 when not normalized."""

@@ -10,6 +10,7 @@ from fmshift import (
     OUTSIDE_SUPPORT,
     Curve,
     DensityModel,
+    DerivativeMethod,
     DistanceSpec,
     FunctionalSample,
     Grid,
@@ -233,6 +234,106 @@ class TestConfig:
         cfg = MeanShiftConfig().resolved(model)
         assert cfg.step_tolerance == pytest.approx(1e-6 * 4.0)
         assert cfg.perturbation_scale == pytest.approx(0.2)
+
+
+def reference_norms(metric, DF):
+    """Distances of difference component rows as blockwise sums of
+    DF * DF * w, the form ``Metric.norms`` had before its per-step savings."""
+    blocks = (DF * DF * metric.w).reshape(DF.shape[:-1] + (len(metric.operators), -1))
+    return np.sqrt(blocks.sum(axis=-1)).sum(axis=-1)
+
+
+def reference_ascend(model, x0, cfg):
+    """Oracle: one start's ascent written step by step in the engine's former
+    form: ``reference_norms``, h**2 on every query and a validated curve per
+    iterate. Returns the iterates, or None for a start outside every support
+    ball."""
+    metric, V = model.metric, model.sample.matrix
+    F = metric.components(V)
+    x, iterates = x0, [x0]
+    for _ in range(cfg.max_iters):
+        d = reference_norms(metric, F - metric.components(x.values))
+        u = model.pair.k(d / model._h) / model._h**2
+        if u.sum() <= 0.0:
+            return None
+        m = Curve(model.grid, (u @ V) / u.sum() - x.values)
+        Fm = metric.components(m.values)
+        shift = np.sqrt(max(float((Fm * metric.w) @ Fm), 0.0))
+        x = Curve(model.grid, x.values + m.values)
+        iterates.append(x)
+        if shift <= cfg.step_tolerance:
+            break
+    return iterates
+
+
+def reference_partition(metric, terminals, radius):
+    """Single linkage of the terminals at the radius, from difference-form
+    distances, labelled in order of first appearance."""
+    F = metric.components(terminals)
+    linked = reference_norms(metric, F[:, None] - F[None]) <= radius
+    labels = [-1] * len(terminals)
+    n_modes = 0
+    for i in range(len(terminals)):
+        if labels[i] >= 0:
+            continue
+        labels[i], todo = n_modes, [i]
+        while todo:
+            for b in np.flatnonzero(linked[todo.pop()]):
+                if labels[b] < 0:
+                    labels[b] = n_modes
+                    todo.append(b)
+        n_modes += 1
+    return labels
+
+
+class TestAscendOracle:
+    SPECS = [DistanceSpec("l2"), DistanceSpec("derivative_l2", 1),
+             DistanceSpec("sobolev_h1", derivative_method=DerivativeMethod(
+                 "local_poly", 3, 0.1))]
+
+    @pytest.mark.parametrize("name", ["gaussian_gaussian", "biweight_triweight"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("frac", [0.25, 0.4])
+    def test_cluster_matches_the_reference_ascent(self, name, spec, frac):
+        rng = np.random.default_rng(5)
+        t = GRID.points
+        M = np.array([c * np.cos(2 * np.pi * f * t) for c, f in
+                      [(0.0, 1.0), (2.0, 1.0), (1.0, 2.0)] * 8])
+        M += 0.3 * rng.standard_normal(M.shape)
+        sample = FunctionalSample.from_matrix(GRID, M)
+        pair = builtin_pair(name)
+        dmax = DensityModel(sample, pair, spec, normalized=False).max_pairwise_distance
+        model = DensityModel(sample, pair, spec, bandwidth=frac * dmax,
+                             normalized=False)
+        cfg = MeanShiftConfig().resolved(model)
+        got = cluster(model, cfg)
+
+        runs = [reference_ascend(model, x0, cfg) for x0 in sample.curves]
+        assert all(r is not None for r in runs)
+        assert [len(tr.iterates) for tr in got.trajectories] == \
+            [len(r) for r in runs]
+        want = np.array([r[-1].values for r in runs])
+        terminals = np.array([tr.terminal.values for tr in got.trajectories])
+        assert np.allclose(terminals, want, rtol=1e-12,
+                           atol=1e-12 * np.abs(want).max())
+        radius = cfg.merge_radius_factor * frac * dmax
+        assert list(got.assignments) == reference_partition(model.metric, want, radius)
+
+    def test_resolved_returns_a_resolved_config_unchanged(self):
+        sample = constant_sample([0.0, 4.0])
+        model = DensityModel(sample, builtin_pair("gaussian_gaussian"),
+                             bandwidth=2.0, normalized=False)
+        cfg = MeanShiftConfig().resolved(model)
+        assert cfg.resolved(model) is cfg
+        other = DensityModel(sample, builtin_pair("gaussian_gaussian"),
+                             bandwidth=0.5, normalized=False)
+        assert cfg.resolved(other) is cfg
+        half = MeanShiftConfig(step_tolerance=1e-3).resolved(model)
+        assert half.step_tolerance == 1e-3
+        assert half.perturbation_scale == pytest.approx(0.2)
+        half = MeanShiftConfig(perturbation_scale=0.7).resolved(model)
+        assert half.step_tolerance == pytest.approx(1e-6 * 4.0)
+        assert half.perturbation_scale == 0.7
 
 
 class TestBlurring:

@@ -62,14 +62,29 @@ class TestGrid:
 class TestCurve:
     def test_length_mismatch(self):
         g = make_grid(11)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="curve has 10 values for a grid of length 11"):
             Curve(g, np.zeros(10))
+
+    def test_rejects_2d_values(self):
+        g = make_grid(11)
+        with pytest.raises(ValueError,
+                           match="curve has 11 values for a grid of length 11"):
+            Curve(g, np.zeros((1, 11)))
 
     def test_rejects_nan(self):
         g = make_grid(11)
         vals = np.zeros(11)
         vals[3] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="curve values must be finite"):
+            Curve(g, vals)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_inf(self, bad):
+        g = make_grid(11)
+        vals = np.zeros(11)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="curve values must be finite"):
             Curve(g, vals)
 
     def test_arithmetic(self):

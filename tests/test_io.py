@@ -76,7 +76,9 @@ class TestCurvesCSV:
     def test_bad_grid(self, tmp_path):
         p = tmp_path / "grid.csv"
         p.write_text("0.0,0.7,0.5\n1.0,2.0,3.0\n")
-        with pytest.raises(InputFormatError, match="strictly increasing"):
+        with pytest.raises(InputFormatError,
+                           match=r"grid\.csv: grid row 1 is not strictly increasing "
+                                 r"at column 3: 0\.5 follows 0\.7"):
             read_curves_csv(p)
 
     def test_single_point_grid_names_file_and_row(self, tmp_path):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fmshift.function_space as function_space
@@ -99,6 +99,9 @@ def distance_reference(a, b, points, spec):
                for c in components_reference(a - b, points, spec))
 
 
+LOCAL_POLY = DerivativeMethod("local_poly", 3, 0.08)
+
+
 @st.composite
 def metric_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
@@ -115,6 +118,11 @@ def metric_cases(draw):
 
 class TestMetricOracle:
     @given(metric_cases())
+    @example((1, DistanceSpec("l2"), 12))
+    @example((2, DistanceSpec("derivative_l2", 2), 13))
+    @example((3, DistanceSpec("sobolev_h1"), 14))
+    @example((4, DistanceSpec("derivative_l2", 1, LOCAL_POLY), 15))
+    @example((5, DistanceSpec("sobolev_h1", derivative_method=LOCAL_POLY), 16))
     @settings(max_examples=60, deadline=None)
     def test_matches_per_row_derivatives_and_trapezoid_sums(self, case):
         seed, spec, n_points = case
@@ -150,6 +158,14 @@ class TestMetricOracle:
             [distance_reference(v, x, pts, spec) for v in V], rtol=1e-10)
         assert model.ip_norm(Curve(grid, x)) == \
             pytest.approx(np.sqrt(inner_reference(x, x, pts, spec)), rel=1e-10)
+
+        # a row's distance does not depend on the rows stacked with it
+        metric = model.metric
+        DF = metric.components(rng.standard_normal((3, 5, n_points))) - \
+            metric.components(x)
+        alone = np.array([[metric.norms(row) for row in rows] for rows in DF])
+        assert np.array_equal(metric.norms(DF), alone)
+        assert np.array_equal(metric.norms(DF[1]), alone[1])
 
     @pytest.mark.parametrize("spec", [
         DistanceSpec("l2"),
