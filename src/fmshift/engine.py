@@ -164,7 +164,7 @@ def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
         # single linkage: connected components of the graph with edges below
         # the radius, labelled in order of first appearance
         n_modes, labels = connected_components(
-            model.metric.pairwise(F, F) <= radius, directed=False)
+            model.metric.pairwise(F) <= radius, directed=False)
         for j in range(n_modes):
             modes.append(Curve(model.grid, terminals[labels == j].mean(axis=0)))
         for pos, i in enumerate(in_support):
@@ -209,4 +209,4 @@ def blurring_pass(model: DensityModel) -> FunctionalSample:
     moved = tot > 0.0
     out = model._V.copy()
     out[moved] = (W[:, moved].T @ model._V) / tot[moved, None]
-    return FunctionalSample.from_matrix(model.grid, out, model.sample.labels)
+    return FunctionalSample._take(model.grid, out, model.sample.labels)

@@ -162,7 +162,11 @@ class FunctionalSample:
     @classmethod
     def from_matrix(cls, grid: Grid, values: np.ndarray, labels=None) -> "FunctionalSample":
         """A sample of the rows of a copy of the n x L array ``values``."""
-        values = np.array(values, dtype=float, order="C")
+        return cls._take(grid, np.array(values, dtype=float, order="C"), labels)
+
+    @classmethod
+    def _take(cls, grid: Grid, values: np.ndarray, labels=None) -> "FunctionalSample":
+        """A sample that takes over the float array ``values`` once checked."""
         if values.ndim != 2 or values.shape[1] != len(grid):
             raise ValueError(f"sample matrix must have shape (n, {len(grid)}) "
                              f"for the grid, got {values.shape}")
@@ -316,16 +320,6 @@ def _derivative_matrix(values: np.ndarray, grid: Grid, order: int,
 # Inner products and distances
 
 
-def _pairwise_component_l2(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted L2 distances between rows of A and rows of B."""
-    G = (A * w) @ B.T
-    na = np.einsum("ij,ij->i", A * w, A)
-    nb = np.einsum("ij,ij->i", B * w, B)
-    d2 = na[:, None] + nb[None, :] - 2.0 * G
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2, out=d2)
-
-
 class Metric:
     """The inner product and distance of one (grid, DistanceSpec), built once.
 
@@ -350,7 +344,9 @@ class Metric:
             self.operators = (None, D) if spec.kind == "sobolev_h1" else (D,)
         self.quad_weights = grid.quad_weights
         self.w = np.tile(self.quad_weights, len(self.operators))
+        self.root_w = np.sqrt(self.w)
         self.w.setflags(write=False)
+        self.root_w.setflags(write=False)
 
     def components(self, V: np.ndarray) -> np.ndarray:
         """The component row of a value vector, or one per row of a value
@@ -383,15 +379,23 @@ class Metric:
             return np.sqrt(sq[..., 0])
         return np.sqrt(sq).sum(axis=-1)
 
-    def pairwise(self, FA: np.ndarray, FB: np.ndarray) -> np.ndarray:
-        """Distances between the component rows of FA and FB, in Gram form.
+    def pairwise(self, F: np.ndarray) -> np.ndarray:
+        """Distances between the component rows of F, in Gram form.
 
-        The Gram form loses about sqrt(eps) of accuracy near zero distance,
-        so it serves only matrices between two curve sets; the distances of
-        one curve are ``norms`` of its differences.
+        Per block, the rows scaled by the square roots of the trapezoid
+        weights give one symmetric product G, and d^2 = G_ii + G_jj - 2 G_ij:
+        the matrix is exactly symmetric with an exactly zero diagonal. Off it
+        the Gram form loses about sqrt(eps) near zero distance, so the
+        distances of one curve are ``norms`` of its differences.
         """
-        A, B, W = self._blocks(FA), self._blocks(FB), self._blocks(self.w)
-        return sum(_pairwise_component_l2(A[:, j], B[:, j], w) for j, w in enumerate(W))
+        blocks = []
+        for S in self._blocks(F * self.root_w).swapaxes(0, 1):
+            G = S @ S.T
+            sq = G.diagonal().copy()
+            G *= -2.0
+            G += sq[:, None] + sq[None, :]  # one sum per entry: exactly symmetric
+            blocks.append(np.sqrt(np.maximum(G, 0.0, out=G), out=G))
+        return sum(blocks[1:], blocks[0])
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two value vectors, from their difference."""

@@ -137,10 +137,9 @@ def _statistics(model: DensityModel, modes: dict, where: str) -> dict:
     values = model.curvature_statistics(list(modes.values()))
     out = {}
     for name, row in zip(STATISTICS, values):
-        for j, v in zip(modes, row):
-            if not np.isfinite(v):
-                raise FloatingPointError(
-                    f"{name} is {v} at candidate mode {j} {where}")
+        if not np.isfinite(row).all():
+            j, v = next((j, v) for j, v in zip(modes, row) if not np.isfinite(v))
+            raise FloatingPointError(f"{name} is {v} at candidate mode {j} {where}")
         out[name] = row.tolist()
     return out
 

@@ -12,9 +12,11 @@ two versions of the curvature statistic lambda = sup_{||y||=1} p~^(2)(y, y).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dsyevr
 
 from .function_space import (
     Curve,
@@ -50,25 +52,34 @@ class SingularEvaluationError(ValueError):
 def _bandwidths(bandwidth, n: int) -> np.ndarray:
     """The n per-datum bandwidths of one number or of a sequence of n."""
     h = np.array(bandwidth, dtype=float)
-    if h.ndim == 0:
-        h = np.full(n, float(h))
-    elif h.shape != (n,):
+    if h.ndim and h.shape != (n,):
         raise ValueError(f"need {n} per-datum bandwidths, got shape {h.shape}")
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise ValueError("bandwidth must be positive and finite")
-    return h
+    return h if h.ndim else np.full(n, float(h))
+
+
+def _top_eigenvalue(G: np.ndarray) -> float:
+    """The largest eigenvalue alone of the exactly symmetric matrix G, which
+    is overwritten (G^T is G in Fortran order), by LAPACK ``dsyevr``."""
+    m = G.shape[0]
+    w, *_, info = dsyevr(G.T, compute_v=0, range="I", il=m, iu=m, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"top eigenvalue of a {m} x {m} curvature form: dsyevr info={info}")
+    return float(w[0])
 
 
 class DensityModel:
     """Bundles a sample, a kernel pair, a distance and a bandwidth: one
     number, or one per sample curve (never depending on the query point).
 
-    Immutable after construction; the pairwise-distance structure of the
-    sample is computed once. With ``normalized=True`` the leave-one-out
-    pairwise normalizers w_K and w_G of the estimator are applied (this
-    requires at least one sample pair within bandwidth reach); with
-    ``normalized=False`` the numerator-only estimates are used, which is what
-    clustering relies on since the normalizers cancel in the update. A
+    Immutable after construction; the pairwise-distance matrix of the sample
+    is computed once, its extremes on first use. With ``normalized=True`` the
+    leave-one-out pairwise normalizers w_K and w_G of the estimator are
+    applied (this requires at least one sample pair within bandwidth reach);
+    with ``normalized=False`` the numerator-only estimates are used, which is
+    what clustering relies on since the normalizers cancel in the update. A
     single-curve sample has no pairs and always uses unit normalizers.
     """
 
@@ -87,23 +98,18 @@ class DensityModel:
         self._n = self._V.shape[0]
         self._h = _bandwidths(bandwidth, self._n)
         self._h2 = self._h**2
+        self._h3 = self._h**3
         self._F = self.metric.components(self._V)
-
-        D = self.metric.pairwise(self._F, self._F)
-        # the minimum is over the pairs i != j: the diagonal holds inf meanwhile
-        np.fill_diagonal(D, np.inf)
-        self.min_pairwise_distance = float(D.min()) if self._n > 1 else 0.0
-        # the Gram form leaves rounding on the diagonal; a curve is at
-        # distance exactly 0 from itself, as in the difference form
-        np.fill_diagonal(D, 0.0)
-        self.pairwise_distances = D
-        self.max_pairwise_distance = float(D.max())
+        # read-only: the extremes are read from it on first use
+        self.pairwise_distances = D = self.metric.pairwise(self._F)
+        D.setflags(write=False)
 
         if self.normalized and self._n > 1:
             T = D / self._h[:, None]  # datum i uses h(X_i)
-            np.fill_diagonal(T, np.inf)  # pairs i != j only: profiles vanish at inf
-            sum_k = float(self.pair.k(T).sum())
-            sum_g = float(self.pair.g(T).sum())
+            np.fill_diagonal(T, np.inf)  # pairs i != j only
+            near = T[T <= 1.0]  # the profiles vanish beyond their support
+            sum_k = float(self.pair.k(near).sum())
+            sum_g = float(self.pair.g(near).sum())
             if sum_k <= 0.0 or sum_g <= 0.0:
                 raise NormalizerError(
                     "pairwise normalizer is zero: no sample pair within "
@@ -115,6 +121,18 @@ class DensityModel:
         else:
             self.w_K = 1.0
             self.w_G = 1.0
+
+    @cached_property
+    def min_pairwise_distance(self) -> float:
+        """The smallest distance between two sample curves i != j; 0 for a
+        single curve."""
+        off = ~np.eye(self._n, dtype=bool)
+        return float(self.pairwise_distances[off].min()) if self._n > 1 else 0.0
+
+    @cached_property
+    def max_pairwise_distance(self) -> float:
+        """The largest distance between two sample curves."""
+        return float(self.pairwise_distances.max())
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -239,8 +257,7 @@ class DensityModel:
         zero = d == 0.0
         if np.any(zero & (dk != 0.0)):
             self._curvature_limit()  # raises if the limit is unavailable
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dk_over_d = np.where(zero, 0.0, dk / np.where(zero, 1.0, d))
+        dk_over_d = np.divide(dk, d, out=np.zeros_like(d), where=~zero)
         return DF, d, kv, dk, dk_over_d
 
     def hessian_form(self, x: Curve, y: Curve, z: Curve) -> float:
@@ -248,12 +265,11 @@ class DensityModel:
         DF, _, kv, _, dk_over_d = (a[0] for a in
                                    self._curvature_terms(self._components(x)[None]))
         yF, zF = self._components(y), self._components(z)
-        h = self._h
         ip_y = self.metric.gram(DF, yF)
         ip_z = self.metric.gram(DF, zF)
-        pair_term = float((dk_over_d / h**3 * ip_y * ip_z).sum())
+        pair_term = float((dk_over_d / self._h3 * ip_y * ip_z).sum())
         ip_yz = float(self.metric.gram(yF, zF))
-        dens_term = float((kv / h**2).sum()) * ip_yz
+        dens_term = float((kv / self._h2).sum()) * ip_yz
         return -self.pair.C * self.w_G * (pair_term + dens_term)
 
     def curvature_statistics(self, xs) -> tuple:
@@ -266,8 +282,9 @@ class DensityModel:
         only the live rows (w_i > 0) enter. With A the live component rows
         scaled by sqrt(w_i) and by the square roots of the metric weights,
         that eigenvalue is the top one of the live-rows Gram form A A^T,
-        taken in one ``eigvalsh`` per query: a query's values do not depend
-        on the others in the batch.
+        taken alone by one LAPACK ``dsyevr`` solve per query (a failed solve
+        raises ``np.linalg.LinAlgError``): a query's values do not depend on
+        the others in the batch.
 
         ``lambda_paper`` is the closed-form statistic transcribed from its
         derivation. Kept alongside ``lambda_eigen`` for comparison; the two
@@ -277,26 +294,26 @@ class DensityModel:
         """
         XF = np.array([self._components(x) for x in xs])
         DF, d, kv, dk, dk_over_d = self._curvature_terms(XF)
-        h = self._h
         cw = self.pair.C * self.w_G
-        b = cw * (kv / h**2).sum(axis=-1)
-        wts = -cw * dk_over_d / h**3  # >= 0 since k' <= 0
-        root_w = np.sqrt(self.metric.w)
+        b = cw * (kv / self._h2).sum(axis=-1)
+        wts = -cw * dk_over_d / self._h3  # >= 0 since k' <= 0
         lam_eigen = -b
         for c, live in enumerate(wts > 0.0):
             if not np.any(live):
                 continue
-            A = DF[c, live] * np.sqrt(wts[c, live])[:, None] * root_w
-            lam_eigen[c] = max(float(np.linalg.eigvalsh(A @ A.T)[-1]), 0.0) - b[c]
+            A = DF[c, live]  # a gathered copy, scaled in place
+            A *= np.sqrt(wts[c, live])[:, None]
+            A *= self.metric.root_w
+            lam_eigen[c] = max(_top_eigenvalue(A @ A.T), 0.0) - b[c]
 
-        v = ((dk_over_d / h**3)[:, None, :] @ DF)[:, 0]
+        v = ((dk_over_d / self._h3)[:, None, :] @ DF)[:, 0]
         vnorm = np.sqrt(np.maximum((v * self.metric.w * v).sum(axis=-1), 0.0))
         # scalar sum: (1/h^2) [ (1/h) k'(d/h) (d + 1/d) + k(d/h) ]; at d = 0
         # the k'd term vanishes and k'/d takes its continuity-extension limit
         zero = d == 0.0
         if np.any(zero):
-            dk_over_d = np.where(zero, self._curvature_limit() / h, dk_over_d)
-        scalar = ((dk * d + dk_over_d) / h**3 + kv / h**2).sum(axis=-1)
+            dk_over_d = np.where(zero, self._curvature_limit() / self._h, dk_over_d)
+        scalar = ((dk * d + dk_over_d) / self._h3 + kv / self._h2).sum(axis=-1)
         return lam_eigen, cw * (2.0 * vnorm - scalar)
 
     def lambda_eigen(self, x: Curve) -> float:

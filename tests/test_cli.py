@@ -8,6 +8,7 @@ import pytest
 
 import fmshift.cli
 import fmshift.function_space
+import fmshift.surrogate
 from fmshift import (
     DensityModel,
     FunctionalSample,
@@ -293,6 +294,22 @@ class TestTestModes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "category=numeric" in err and "lambda_paper is nan" in err
+        assert not (tmp_path / "tm.txt").exists()
+
+    def test_failed_eigen_solve_is_exit_3(self, curves_csv, tmp_path,
+                                          monkeypatch, capsys):
+        # LinAlgError is a ValueError: it must still read as numeric
+        def failing(a, **kwargs):
+            return np.zeros(len(a)), np.zeros((0, 0)), 0, np.zeros(0, np.int32), 1
+
+        monkeypatch.setattr(fmshift.surrogate, "dsyevr", failing)
+        rc = run(["test-modes", "--input", curves_csv,
+                  "--bandwidth-percentile", 41, "--boot", 100,
+                  "--out", tmp_path / "tm.txt"])
+        assert rc == fmshift.cli.EXIT_NUMERIC == 3
+        err = capsys.readouterr().err
+        assert "category=numeric" in err and "dsyevr info=1" in err
+        assert "category=input" not in err
         assert not (tmp_path / "tm.txt").exists()
 
     def test_numeric_failure_is_exit_3(self, tmp_path):

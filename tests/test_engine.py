@@ -354,6 +354,14 @@ class TestBlurring:
         blurring_pass(model)
         assert np.array_equal(model.sample.matrix, snapshot)
 
+    def test_output_is_a_read_only_matrix_of_its_own(self):
+        sample = gaussian_blob_sample(seed=2)
+        model = DensityModel(sample, builtin_pair("gaussian_gaussian"),
+                             bandwidth=2.0, normalized=False)
+        out = blurring_pass(model).matrix
+        assert out.shape == sample.matrix.shape and not out.flags.writeable
+        assert not np.shares_memory(out, sample.matrix)
+
     def test_keeps_labels(self):
         sample = gaussian_blob_sample(seed=1)
         model = DensityModel(sample, builtin_pair("gaussian_gaussian"),

@@ -263,6 +263,25 @@ class TestMetricOracle:
         cluster(model, MeanShiftConfig(max_iters=20))
 
 
+class TestPairwise:
+    @pytest.mark.parametrize("method", [
+        DerivativeMethod(), DerivativeMethod("local_poly", 2, 0.1)],
+        ids=["finite_difference", "local_poly"])
+    @pytest.mark.parametrize("kind, order", [
+        ("l2", 1), ("derivative_l2", 1), ("derivative_l2", 2), ("sobolev_h1", 1)])
+    def test_exactly_symmetric_with_a_zero_diagonal(self, kind, order, method):
+        grid = Grid(np.sort(np.random.default_rng(2).uniform(0.0, 1.0, 30)))
+        V = np.random.default_rng(3).standard_normal((40, 30))
+        V[5] = V[4]  # a duplicate and a near-duplicate row
+        V[7] = V[6] + 1e-9
+        metric = Metric(grid, DistanceSpec(kind, order, method))
+        D = metric.pairwise(metric.components(V))
+        assert D.shape == (40, 40)
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
+        assert np.all(D >= 0.0)
+
+
 UNIFORM = np.linspace(0.0, 1.0, 40)
 NON_UNIFORM = np.sort(np.random.default_rng(11).uniform(0.0, 1.0, 40))
 

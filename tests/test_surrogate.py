@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+import fmshift.surrogate as surrogate
 from fmshift import (
     BUILTIN_PAIR_NAMES,
     Curve,
@@ -125,6 +126,58 @@ class TestHandComputedDensities:
             DensityModel(sample, pair, bandwidth=bad)
         with pytest.raises(ValueError, match="finite"):
             DensityModel(sample, pair, bandwidth=np.array([1.0, bad]))
+
+
+def eager_extremes(D):
+    """The smallest off-diagonal and the largest entry of a distance matrix,
+    as the model computed them at construction: min over i != j, 0 for one
+    curve."""
+    E = D.copy()
+    np.fill_diagonal(E, np.inf)
+    return (float(E.min()) if len(D) > 1 else 0.0), float(D.max())
+
+
+class TestPairwiseExtremes:
+    @pytest.mark.parametrize("rows", [
+        [0.0], [0.0, 1.5], [0.0, 2.0, 2.0, -1.0]], ids=["n=1", "n=2", "duplicates"])
+    def test_equal_their_eager_definitions(self, rows):
+        rng = np.random.default_rng(6)
+        shape = rng.standard_normal(len(GRID))
+        sample = FunctionalSample.from_matrix(
+            GRID, np.array(rows)[:, None] + np.outer(np.abs(rows), shape))
+        model = DensityModel(sample, builtin_pair("gaussian_gaussian"),
+                             bandwidth=1.0, normalized=False)
+        # computed on first use, not at construction
+        assert "min_pairwise_distance" not in vars(model)
+        assert "max_pairwise_distance" not in vars(model)
+        assert not model.pairwise_distances.flags.writeable
+        lo, hi = eager_extremes(model.pairwise_distances)
+        assert model.min_pairwise_distance == lo
+        assert model.max_pairwise_distance == hi
+        if len(rows) == 1:
+            assert lo == hi == 0.0
+        if len(rows) == 4:
+            assert lo == 0.0 < hi
+
+    def test_normalizer_error_names_the_minimum_distance(self):
+        sample = FunctionalSample.from_matrix(
+            GRID, np.vstack([np.zeros(len(GRID)), np.full(len(GRID), 50.0),
+                             np.full(len(GRID), 120.0)]))
+        with pytest.raises(NormalizerError,
+                           match=r"minimum pairwise distance 50\)"):
+            DensityModel(sample, builtin_pair("uniform_epanechnikov"),
+                         bandwidth=1.0, normalized=True)
+
+    @pytest.mark.parametrize("kernel", BUILTIN_PAIR_NAMES)
+    def test_normalizers_equal_sums_over_every_pair(self, kernel):
+        # profiles evaluated on the pairs within reach only, against sums of
+        # both profiles over all n(n - 1) ordered pairs
+        model, _, _, _ = random_instance(4, n=12, kernel=kernel, h=1.4)
+        T = model.pairwise_distances / model._h[:, None]
+        off = ~np.eye(12, dtype=bool)
+        assert np.any(T[off] > 1.0) and np.any(T[off] <= 1.0)
+        for w, profile in ((model.w_K, model.pair.k), (model.w_G, model.pair.g)):
+            assert w == pytest.approx(11 / float(profile(T[off]).sum()), rel=1e-13)
 
 
 class TestGradientOracle:
@@ -502,6 +555,41 @@ class TestCurvatureStatisticsOracle:
         y = queries["random"]
         assert_close(model.lambda_eigen(y), lambda_eigen_reference(model, y))
         assert_close(model.lambda_paper(y), lambda_paper_reference(model, y))
+
+
+def failing_dsyevr(a, **kwargs):
+    """dsyevr reporting a failed solve: info = 2."""
+    return np.zeros(len(a)), np.zeros((0, 0)), 0, np.zeros(0, np.int32), 2
+
+
+class TestTopEigenvalue:
+    @pytest.mark.parametrize("form", ["1x1", "rank_1", "repeated_top", "general"])
+    def test_matches_eigvalsh(self, form):
+        rng = np.random.default_rng(8)
+        if form == "1x1":
+            A = rng.standard_normal((1, 30))
+        elif form == "rank_1":
+            A = np.outer(rng.standard_normal(12), rng.standard_normal(30))
+        else:
+            # A = U diag(s) Q: the Gram form U diag(s^2) U^T, top value 9 twice
+            U = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+            Q = np.linalg.qr(rng.standard_normal((30, 12)))[0].T
+            s = (np.array([3.0, 3.0] + [1.0] * 10) if form == "repeated_top"
+                 else rng.uniform(0.1, 3.0, 12))
+            A = U @ (s[:, None] * Q)
+        G = A @ A.T
+        want = float(np.linalg.eigvalsh(G)[-1])
+        assert surrogate._top_eigenvalue(G.copy()) == pytest.approx(want, rel=1e-12)
+        if form == "repeated_top":
+            assert want == pytest.approx(9.0, rel=1e-12)
+
+    def test_a_failed_solve_raises_a_linalg_error(self, monkeypatch):
+        model, queries = smooth_model(2, SPECS["l2"], "gaussian_gaussian", 10)
+        x = queries["random"]
+        assert live_rows(model, x) > 0
+        monkeypatch.setattr(surrogate, "dsyevr", failing_dsyevr)
+        with pytest.raises(np.linalg.LinAlgError, match="dsyevr info=2"):
+            model.curvature_statistics([x])
 
 
 class TestBatchIdentity:
