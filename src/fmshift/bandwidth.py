@@ -80,7 +80,8 @@ def _rounding_level(model: DensityModel) -> float:
     rounding bound, grid length times eps, for grids of up to 4000 points.
     """
     m = model.metric
-    norm = float(np.sqrt(np.diag(m.gram(model._F, model._F)).max()))
+    F = model._F
+    norm = float(np.sqrt(np.einsum("ij,ij->i", F * m.w, F).max()))
     value_norm = float(np.sqrt(np.einsum("ij,ij->i", model._V * model.grid.quad_weights,
                                          model._V).max()))
     operator_norm = sum(float(np.linalg.norm(D)) for D in m.operators if D is not None)

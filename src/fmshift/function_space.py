@@ -387,10 +387,16 @@ class Metric:
         the matrix is exactly symmetric with an exactly zero diagonal. Off it
         the Gram form loses about sqrt(eps) near zero distance, so the
         distances of one curve are ``norms`` of its differences.
+
+        G is an ``einsum``, not a BLAS product: BLAS tiles ``S @ S.T``, and
+        the order in which it sums an entry depends on where the two rows fall
+        in the tiles. Here an entry depends on its two rows alone, so the
+        distances of a resample are those of the sample gathered by row, to
+        the last bit.
         """
         blocks = []
         for S in self._blocks(F * self.root_w).swapaxes(0, 1):
-            G = S @ S.T
+            G = np.einsum("ik,jk->ij", S, S)
             sq = G.diagonal().copy()
             G *= -2.0
             G += sq[:, None] + sq[None, :]  # one sum per entry: exactly symmetric

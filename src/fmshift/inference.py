@@ -198,8 +198,7 @@ def test_modes(sample: FunctionalSample, pair: KernelPair,
     seeds = rng.integers(0, 2**63 - 1, size=t_cfg.n_boot)
     for b in range(t_cfg.n_boot):
         idx = np.random.default_rng(seeds[b]).integers(0, n2, size=n2)
-        model = DensityModel(sub2.subset(idx), pair, distance, bandwidth=h,
-                             normalized=True)
+        model = full2.resample(idx)
         for name, row in _statistics(model, modes, f"in replicate {b}").items():
             reps[name][:, b] = row
 

@@ -81,6 +81,12 @@ class DensityModel:
     with ``normalized=False`` the numerator-only estimates are used, which is
     what clustering relies on since the normalizers cancel in the update. A
     single-curve sample has no pairs and always uses unit normalizers.
+
+    The curvature terms of the last query stack (``hessian_form``,
+    ``curvature_statistics``) are kept, read-only, so a repeat query at the
+    same points computes none again. ``resample(idx)`` builds the model of a
+    resample of the sample by gathering rows of this one, the kept terms
+    included, and equals a fresh model of the resample to the last bit.
     """
 
     def __init__(self, sample: FunctionalSample, pair: KernelPair,
@@ -100,10 +106,38 @@ class DensityModel:
         self._h2 = self._h**2
         self._h3 = self._h**3
         self._F = self.metric.components(self._V)
-        # read-only: the extremes are read from it on first use
-        self.pairwise_distances = D = self.metric.pairwise(self._F)
-        D.setflags(write=False)
+        self._base = self._idx = self._memo = None
+        self._set_pairwise(self.metric.pairwise(self._F))
 
+    def resample(self, idx) -> "DensityModel":
+        """The model of ``self.sample.subset(idx)`` at the same bandwidths
+        (one per row, gathered with it) and normalization, equal to a fresh
+        model of that sample to the last bit.
+
+        Nothing is recomputed that this model already holds: the component
+        rows, the bandwidths and the pairwise distances are gathered by row,
+        and so are the curvature terms at the queries of this model's last
+        curvature evaluation (see the class docstring).
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        new = object.__new__(DensityModel)
+        new.pair, new.distance, new.grid = self.pair, self.distance, self.grid
+        new.normalized, new.metric = self.normalized, self.metric
+        new.sample = self.sample.subset(idx)
+        new._V = new.sample.matrix
+        new._n = idx.size
+        new._h, new._h2, new._h3 = self._h[idx], self._h2[idx], self._h3[idx]
+        new._F = new._V if self._F is self._V else self._F[idx]
+        new._base, new._idx, new._memo = self, idx, None
+        new._set_pairwise(self.pairwise_distances[np.ix_(idx, idx)])
+        return new
+
+    def _set_pairwise(self, D: np.ndarray):
+        """Take over the pairwise-distance matrix D (read-only from here:
+        the extremes are read from it on first use) and set the normalizers
+        w_K and w_G from it."""
+        self.pairwise_distances = D
+        D.setflags(write=False)
         if self.normalized and self._n > 1:
             T = D / self._h[:, None]  # datum i uses h(X_i)
             np.fill_diagonal(T, np.inf)  # pairs i != j only
@@ -245,20 +279,37 @@ class DensityModel:
     def _curvature_terms(self, XF: np.ndarray) -> tuple:
         """DF, d, k(d/h), k'(d/h) and k'(d/h)/d for the rows X_i - x of each
         query x, given the r x P stack XF of the queries' component rows: DF
-        is r x n x P, the others r x n.
+        is r x n x P, the others r x n; all read-only.
 
         k'(d/h)/d is set to 0 where d = 0. A zero distance with k'(0) != 0
         needs the profile limit lim k'(t)/t and raises if it is unavailable.
+
+        The terms of the last stack are kept: a repeat of it returns them,
+        and a resample whose base holds the terms of an equal stack gathers
+        them by row. ``np.take`` gathers into C order, the layout of freshly
+        computed terms, so the products taken of them round the same way.
         """
-        DF, d = self._diff(XF)
-        t = d / self._h
-        kv = self.pair.k(t)
-        dk = self.pair.k.deriv(t)
-        zero = d == 0.0
-        if np.any(zero & (dk != 0.0)):
-            self._curvature_limit()  # raises if the limit is unavailable
-        dk_over_d = np.divide(dk, d, out=np.zeros_like(d), where=~zero)
-        return DF, d, kv, dk, dk_over_d
+        memo = self._memo
+        if memo is not None and np.array_equal(memo[0], XF):
+            return memo[1]
+        base = self._base
+        if base is not None and base._memo is not None \
+                and np.array_equal(base._memo[0], XF):
+            terms = tuple(np.take(a, self._idx, axis=1) for a in base._memo[1])
+        else:
+            DF, d = self._diff(XF)
+            t = d / self._h
+            kv = self.pair.k(t)
+            dk = self.pair.k.deriv(t)
+            zero = d == 0.0
+            if np.any(zero & (dk != 0.0)):
+                self._curvature_limit()  # raises if the limit is unavailable
+            dk_over_d = np.divide(dk, d, out=np.zeros_like(d), where=~zero)
+            terms = DF, d, kv, dk, dk_over_d
+        for a in terms:
+            a.setflags(write=False)
+        self._memo = XF, terms
+        return terms
 
     def hessian_form(self, x: Curve, y: Curve, z: Curve) -> float:
         """Second Gateaux differential of p~ at x evaluated at (y, z)."""

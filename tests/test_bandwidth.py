@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fmshift import (DerivativeMethod, DistanceSpec, FunctionalSample, Grid,
-                     ScanSpec, builtin_pair, scan)
-from fmshift.bandwidth import _find_plateaus
+from fmshift import (DensityModel, DerivativeMethod, DistanceSpec,
+                     FunctionalSample, Grid, ScanSpec, builtin_pair, scan)
+from fmshift.bandwidth import _find_plateaus, _max_distance, _rounding_level
 
 GRID = Grid(np.linspace(0.0, 1.0, 21))
 
@@ -152,3 +152,36 @@ class TestZeroDistanceScale:
                    builtin_pair("gaussian_gaussian"), spec,
                    ScanSpec(n_values=3, min_plateau_len=2))
         assert res.max_distance == pytest.approx(4e-6, rel=1e-6)
+
+
+ROUNDING_SPECS = [
+    DistanceSpec(), DistanceSpec("sobolev_h1"),
+    DistanceSpec("derivative_l2", 2, DerivativeMethod("local_poly", 2, 0.2))]
+
+
+class TestRoundingLevel:
+    @pytest.mark.parametrize("spec", ROUNDING_SPECS,
+                             ids=["l2", "sobolev_h1", "derivative_l2_local_poly"])
+    def test_row_norms_equal_the_gram_diagonal(self, spec):
+        # the largest component norm from one row reduction, against the
+        # diagonal of the full n x n Gram matrix
+        V = np.random.default_rng(7).standard_normal((40, len(GRID)))
+        model = DensityModel(FunctionalSample.from_matrix(GRID, V),
+                             builtin_pair("gaussian_gaussian"), spec,
+                             normalized=False)
+        m, F = model.metric, model._F
+        norm = float(np.sqrt(np.diag(m.gram(F, F)).max()))
+        value_norm = float(np.sqrt(np.diag((V * GRID.quad_weights) @ V.T).max()))
+        operator_norm = sum(float(np.linalg.norm(D)) for D in m.operators
+                            if D is not None)
+        want = max(1e-6 * norm, 1e-12 * value_norm * operator_norm)
+        assert _rounding_level(model) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("spec", ROUNDING_SPECS,
+                             ids=["l2", "sobolev_h1", "derivative_l2_local_poly"])
+    def test_identical_curves_still_raise(self, spec):
+        base = np.random.default_rng(8).standard_normal(len(GRID))
+        same = FunctionalSample.from_matrix(GRID, np.tile(base, (4, 1)))
+        with pytest.raises(ValueError, match=f"identical under the {spec.kind} "
+                                             "distance"):
+            _max_distance(same, builtin_pair("gaussian_gaussian"), spec)

@@ -230,6 +230,25 @@ class TestMetricOracle:
             # a fresh copy of the values, not the sample's own curve
             assert model.distances_to(Curve(grid, row.copy()))[i] == 0.0
 
+    @pytest.mark.parametrize("method", [
+        DerivativeMethod(), DerivativeMethod("local_poly", 2, 0.1)],
+        ids=["finite_difference", "local_poly"])
+    @pytest.mark.parametrize("kind, order", [
+        ("l2", 1), ("derivative_l2", 1), ("derivative_l2", 2), ("sobolev_h1", 1)])
+    def test_pairwise_of_gathered_rows_is_the_gathered_pairwise(self, kind, order,
+                                                                method):
+        # an entry depends on its two rows alone, not on the rows stacked
+        # with them: what lets a bootstrap replicate gather its distances
+        grid = Grid(np.sort(np.random.default_rng(8).uniform(0.0, 1.0, 30)))
+        V = np.random.default_rng(9).standard_normal((60, 30))
+        m = Metric(grid, DistanceSpec(kind, order, method))
+        F = m.components(V)
+        D = m.pairwise(F)
+        rng = np.random.default_rng(10)
+        for size in (60, 60, 60, 37, 75):
+            idx = rng.integers(0, 60, size=size)  # repeated rows
+            assert np.array_equal(m.pairwise(F[idx]), D[np.ix_(idx, idx)])
+
     def test_l2_components_are_the_values(self):
         # the l2 metric applies no operator, not even an identity matmul
         grid = Grid(np.linspace(0.0, 1.0, 9))

@@ -608,3 +608,137 @@ class TestBatchIdentity:
         batch = np.array(model.curvature_statistics(xs))
         ones = np.array([model.curvature_statistics([x]) for x in xs])[:, :, 0].T
         assert np.array_equal(batch, ones)
+
+
+# -- a resample of a model against a fresh model of the resample ---------------
+
+
+RESAMPLE_SPECS = {"l2": SPECS["l2"],
+                  "sobolev_h1_local_poly": SPECS["sobolev_h1_local_poly"]}
+
+
+def resample_pair(spec, per_datum, seed=21, n=30):
+    """A base model queried nowhere yet, a resample of it and a fresh model
+    of the same resampled rows (copied out), plus the resample's indices."""
+    rng = np.random.default_rng(seed)
+    t = GRID.points
+    V = (rng.standard_normal((n, 1)) * np.sin(2 * np.pi * t)
+         + rng.standard_normal((n, 1)) * np.cos(np.pi * t)
+         + 0.05 * rng.standard_normal((n, len(GRID))))
+    sample = FunctionalSample.from_matrix(GRID, V)
+    pair = builtin_pair("gaussian_gaussian")
+    h = 0.6 * DensityModel(sample, pair, spec, normalized=False).max_pairwise_distance
+    if per_datum:
+        h = h * rng.uniform(0.7, 1.3, n)
+    base = DensityModel(sample, pair, spec, bandwidth=h)
+    idx = rng.integers(0, n, size=n)
+    fresh = DensityModel(FunctionalSample.from_matrix(GRID, V[idx]), pair, spec,
+                         bandwidth=h[idx] if per_datum else h)
+    return base, base.resample(idx), fresh, idx
+
+
+def some_queries(model, seed):
+    rng = np.random.default_rng(seed)
+    mean = model._V.mean(axis=0)
+    return [Curve(GRID, mean + 0.1 * rng.standard_normal(len(GRID))),
+            model.sample.curves[0],
+            Curve(GRID, mean + 0.3 * rng.standard_normal(len(GRID)))]
+
+
+def counting(monkeypatch, cls, name):
+    """Count the calls of cls.name from here on."""
+    real, calls = getattr(cls, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("per_datum", [False, True], ids=["scalar_h", "per_datum_h"])
+@pytest.mark.parametrize("spec", list(RESAMPLE_SPECS))
+class TestResample:
+    def test_gathered_state_equals_a_fresh_model(self, spec, per_datum):
+        _, rs, fresh, idx = resample_pair(RESAMPLE_SPECS[spec], per_datum)
+        assert len(set(idx.tolist())) < len(idx)  # repeated rows
+        assert np.array_equal(rs.pairwise_distances, fresh.pairwise_distances)
+        assert not rs.pairwise_distances.flags.writeable
+        assert rs.w_K == fresh.w_K and rs.w_G == fresh.w_G
+        assert rs.min_pairwise_distance == fresh.min_pairwise_distance
+        assert rs.max_pairwise_distance == fresh.max_pairwise_distance
+        assert np.array_equal(rs._h, fresh._h)
+        assert np.array_equal(rs._F, fresh._F)
+
+    def test_curvature_statistics_gathered_from_the_base(self, spec, per_datum,
+                                                         monkeypatch):
+        base, _, fresh, idx = resample_pair(RESAMPLE_SPECS[spec], per_datum)
+        xs = some_queries(base, 3)
+        base.curvature_statistics(xs)
+        rs = base.resample(idx)
+        diffs = counting(monkeypatch, DensityModel, "_diff")
+        got = rs.curvature_statistics(xs)
+        assert diffs == []  # a memo hit: no distance computed
+        want = fresh.curvature_statistics(xs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_curvature_statistics_on_another_stack(self, spec, per_datum,
+                                                   monkeypatch):
+        base, rs, fresh, _ = resample_pair(RESAMPLE_SPECS[spec], per_datum)
+        base.curvature_statistics(some_queries(base, 3))
+        ys = some_queries(base, 4)
+        diffs = counting(monkeypatch, DensityModel, "_diff")
+        got = rs.curvature_statistics(ys)
+        assert len(diffs) == 1  # a memo miss, computed on the resample
+        want = fresh.curvature_statistics(ys)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_mean_shift_vector_and_hessian_form(self, spec, per_datum):
+        base, rs, fresh, _ = resample_pair(RESAMPLE_SPECS[spec], per_datum)
+        x, y, z = some_queries(base, 5)
+        assert np.array_equal(rs.mean_shift_vector(x).values,
+                              fresh.mean_shift_vector(x).values)
+        base.hessian_form(x, y, z)
+        first = rs.hessian_form(x, y, z)
+        assert first == fresh.hessian_form(x, y, z)
+        # the second call at the same x reads the kept terms
+        assert rs.hessian_form(x, y, z) == first == fresh.hessian_form(x, y, z)
+        assert rs.hessian_form(x, z, y) == fresh.hessian_form(x, z, y)
+
+    def test_runs_no_init_and_one_subset(self, spec, per_datum, monkeypatch):
+        base, _, _, idx = resample_pair(RESAMPLE_SPECS[spec], per_datum)
+        inits = counting(monkeypatch, DensityModel, "__init__")
+        subsets = counting(monkeypatch, FunctionalSample, "subset")
+        rs = base.resample(idx)
+        assert inits == [] and len(subsets) == 1
+        assert rs.metric is base.metric
+
+    def test_kept_terms_are_read_only(self, spec, per_datum):
+        base, rs, _, _ = resample_pair(RESAMPLE_SPECS[spec], per_datum)
+        xs = some_queries(base, 3)
+        base.curvature_statistics(xs)
+        rs.curvature_statistics(xs)
+        for model in (base, rs):
+            for a in model._memo[1]:
+                assert not a.flags.writeable
+                assert a.flags.c_contiguous
+
+
+class TestResampleNormalizer:
+    def test_no_pair_in_reach_raises_the_same_text(self):
+        # the base has one close pair (0, 0.01); the resample drops it
+        levels = np.array([0.0, 0.01, 5.0, 100.0])
+        V = levels[:, None] * np.ones(len(GRID))
+        pair = builtin_pair("uniform_epanechnikov")
+        base = DensityModel(FunctionalSample.from_matrix(GRID, V), pair,
+                            bandwidth=1.0)
+        # a repeated row is a pair at distance 0, within reach
+        assert base.resample([0, 2, 3, 2]).w_K > 0.0
+        with pytest.raises(NormalizerError) as gathered:
+            base.resample([0, 2, 3])
+        with pytest.raises(NormalizerError) as rebuilt:
+            DensityModel(FunctionalSample.from_matrix(GRID, V[[0, 2, 3]]), pair,
+                         bandwidth=1.0)
+        assert str(gathered.value) == str(rebuilt.value)
+        assert "minimum pairwise distance 5)" in str(gathered.value)
