@@ -210,12 +210,12 @@ class DerivativeMethod:
 class DistanceSpec:
     """Choice of distance (and associated inner product) between curves.
 
+    Every kind is the norm of the difference induced by its ``inner_product``.
     kind "l2": the usual L2 norm of the difference.
     kind "derivative_l2": L2 norm of the difference of order-m derivatives
     (a semi-distance; insensitive to vertical shifts for m >= 1).
-    kind "sobolev_h1": the sum ||x-y||_L2 + ||x'-y'||_L2. Note this sum is
-    *not* the norm induced by the H1 inner product; ``inner_product`` with
-    this spec returns the H1 inner product and both are exposed deliberately.
+    kind "sobolev_h1": the H1 norm sqrt(||x-y||_L2^2 + ||x'-y'||_L2^2).
+    ``order`` applies to "derivative_l2" only; the other kinds take 1.
     """
 
     kind: str = "l2"
@@ -227,6 +227,9 @@ class DistanceSpec:
             raise ValueError(f"unknown distance kind {self.kind!r}")
         if self.kind == "derivative_l2" and self.order not in (1, 2):
             raise ValueError("derivative_l2 supports orders 1 and 2")
+        if self.kind != "derivative_l2" and self.order != 1:
+            raise ValueError(f"order {self.order} does not apply to {self.kind}; "
+                             "only derivative_l2 takes an order")
 
 
 def _check_same_grid(a: Curve, b: Curve):
@@ -330,8 +333,8 @@ class Metric:
     derivative rows of a difference are the differences of derivative rows.
     ``components`` lays the blocks of a curve side by side in one row and
     ``w`` repeats the trapezoid weights once per block: the inner product is
-    one weighted product of component rows, the distance the sum of the
-    blockwise L2 norms of the components of the difference.
+    one weighted product of component rows, and the distance is the norm it
+    induces, for every kind.
     """
 
     def __init__(self, grid: Grid, spec: DistanceSpec | None = None):
@@ -339,11 +342,9 @@ class Metric:
         if spec.kind == "l2":
             self.operators = (None,)  # None: the identity, applied without a matmul
         else:
-            order = 1 if spec.kind == "sobolev_h1" else spec.order
-            D = _derivative_operator(grid, order, spec.derivative_method)
+            D = _derivative_operator(grid, spec.order, spec.derivative_method)
             self.operators = (None, D) if spec.kind == "sobolev_h1" else (D,)
-        self.quad_weights = grid.quad_weights
-        self.w = np.tile(self.quad_weights, len(self.operators))
+        self.w = np.tile(grid.quad_weights, len(self.operators))
         self.root_w = np.sqrt(self.w)
         self.w.setflags(write=False)
         self.root_w.setflags(write=False)
@@ -367,26 +368,23 @@ class Metric:
         return (FA * self.w) @ FB.T
 
     def norms(self, DF: np.ndarray) -> np.ndarray:
-        """The distance each component row of a difference stands for: the
-        sum of its blockwise L2 norms (a scalar for a single row).
+        """The norm of each component row of a difference, the distance it
+        stands for (a scalar for a single row).
 
-        Each block of squares is reduced against the trapezoid weights on its
-        own, not by a matrix product, so a row's distance does not depend on
-        the rows stacked with it.
+        The squares are reduced against the weights row by row, not by a
+        matrix product, so a row's distance does not depend on the rows
+        stacked with it.
         """
-        sq = np.einsum("...j,j->...", self._blocks(DF * DF), self.quad_weights)
-        if len(self.operators) == 1:
-            return np.sqrt(sq[..., 0])
-        return np.sqrt(sq).sum(axis=-1)
+        return np.sqrt(np.einsum("...j,j->...", DF * DF, self.w))
 
     def pairwise(self, F: np.ndarray) -> np.ndarray:
         """Distances between the component rows of F, in Gram form.
 
-        Per block, the rows scaled by the square roots of the trapezoid
-        weights give one symmetric product G, and d^2 = G_ii + G_jj - 2 G_ij:
-        the matrix is exactly symmetric with an exactly zero diagonal. Off it
-        the Gram form loses about sqrt(eps) near zero distance, so the
-        distances of one curve are ``norms`` of its differences.
+        The rows scaled by the square roots of the weights give one symmetric
+        product G, and d^2 = G_ii + G_jj - 2 G_ij: the matrix is exactly
+        symmetric with an exactly zero diagonal. Off it the Gram form loses
+        about sqrt(eps) near zero distance, so the distances of one curve are
+        ``norms`` of its differences.
 
         G is an ``einsum``, not a BLAS product: BLAS tiles ``S @ S.T``, and
         the order in which it sums an entry depends on where the two rows fall
@@ -394,23 +392,16 @@ class Metric:
         distances of a resample are those of the sample gathered by row, to
         the last bit.
         """
-        blocks = []
-        for S in self._blocks(F * self.root_w).swapaxes(0, 1):
-            G = np.einsum("ik,jk->ij", S, S)
-            sq = G.diagonal().copy()
-            G *= -2.0
-            G += sq[:, None] + sq[None, :]  # one sum per entry: exactly symmetric
-            blocks.append(np.sqrt(np.maximum(G, 0.0, out=G), out=G))
-        return sum(blocks[1:], blocks[0])
+        S = F * self.root_w
+        G = np.einsum("ik,jk->ij", S, S)
+        sq = G.diagonal().copy()
+        G *= -2.0
+        G += sq[:, None] + sq[None, :]  # one sum per entry: exactly symmetric
+        return np.sqrt(np.maximum(G, 0.0, out=G), out=G)
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two value vectors, from their difference."""
         return float(self.norms(self.components(a - b)))
-
-    def _blocks(self, F: np.ndarray) -> np.ndarray:
-        """Component rows split into their blocks, along a new next-to-last
-        axis."""
-        return F.reshape(F.shape[:-1] + (len(self.operators), -1))
 
 
 def inner_product(a: Curve, b: Curve, spec: DistanceSpec | None = None) -> float:
@@ -425,7 +416,7 @@ def inner_product(a: Curve, b: Curve, spec: DistanceSpec | None = None) -> float
 
 
 def norm(a: Curve, spec: DistanceSpec | None = None) -> float:
-    """Norm associated with ``distance``: ||a|| = distance(a, 0)."""
+    """The norm induced by ``inner_product``: ||a|| = distance(a, 0)."""
     zero = Curve(a.grid, np.zeros(len(a.grid)))
     return distance(a, zero, spec)
 
@@ -433,9 +424,8 @@ def norm(a: Curve, spec: DistanceSpec | None = None) -> float:
 def distance(a: Curve, b: Curve, spec: DistanceSpec | None = None) -> float:
     """Distance between two curves on the same grid.
 
-    "l2" and "derivative_l2" are the norms induced by ``inner_product``.
-    "sobolev_h1" is the sum ||a-b||_L2 + ||a'-b'||_L2 (a sum of norms, not the
-    norm induced by the H1 inner product).
+    Every kind is the norm of a - b induced by ``inner_product``; for
+    "sobolev_h1" that is sqrt(||a-b||_L2^2 + ||a'-b'||_L2^2).
     """
     _check_same_grid(a, b)
     return Metric(a.grid, spec).distance(a.values, b.values)

@@ -230,12 +230,8 @@ class DensityModel:
     def gradient(self, x: Curve) -> Curve:
         """Functional gradient of p~ at x, as a curve on the sample grid.
 
-        Exact (Riesz representation of the Gateaux differential) when the
-        distance is induced by the model's inner product, i.e. for "l2" and
-        "derivative_l2". The "sobolev_h1" sum of norms is not induced by an
-        inner product; there this is the same formal expression, and the
-        mean-shift update, which touches the metric only through the distances,
-        is unaffected.
+        The Riesz representation of the Gateaux differential in the model's
+        inner product, which induces the distance for every kind.
         """
         coef = self.pair.C * self.w_G * self._ms_weights(self.distances_to(x))
         return Curve(self.grid, coef @ (self._V - x.values))

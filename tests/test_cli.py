@@ -125,6 +125,17 @@ class TestCluster:
         assert "category=input" in err
         assert "row 3, column 2" in err
 
+    @pytest.mark.parametrize("distance", ["sobolev_h1", "l2"])
+    def test_order_that_does_nothing_is_exit_2(self, distance, curves_csv,
+                                               tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        rc = run(["cluster", "--input", curves_csv, "--bandwidth", 1.0,
+                  "--distance", distance, "--order", 2, "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"category=input: order 2 does not apply to {distance}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("error", [OutsideSupportError,
                                        SingularEvaluationError])
     def test_numeric_errors_are_exit_3(self, error, curves_csv, tmp_path,

@@ -237,10 +237,9 @@ class TestConfig:
 
 
 def reference_norms(metric, DF):
-    """Distances of difference component rows as blockwise sums of
-    DF * DF * w, the form ``Metric.norms`` had before its per-step savings."""
-    blocks = (DF * DF * metric.w).reshape(DF.shape[:-1] + (len(metric.operators), -1))
-    return np.sqrt(blocks.sum(axis=-1)).sum(axis=-1)
+    """Distances of difference component rows as the square roots of the sums
+    of DF * DF * w, the form ``Metric.norms`` had before its per-step savings."""
+    return np.sqrt((DF * DF * metric.w).sum(axis=-1))
 
 
 def reference_ascend(model, x0, cfg):
@@ -286,21 +285,28 @@ def reference_partition(metric, terminals, radius):
     return labels
 
 
+def wave_sample(seed=5):
+    """24 noisy curves around three waves: flat, cos(2 pi t), cos(4 pi t)."""
+    rng = np.random.default_rng(seed)
+    t = GRID.points
+    M = np.array([c * np.cos(2 * np.pi * f * t) for c, f in
+                  [(0.0, 1.0), (2.0, 1.0), (1.0, 2.0)] * 8])
+    M += 0.3 * rng.standard_normal(M.shape)
+    return FunctionalSample.from_matrix(GRID, M)
+
+
+LOCAL_POLY = DerivativeMethod("local_poly", 3, 0.1)
+
+
 class TestAscendOracle:
     SPECS = [DistanceSpec("l2"), DistanceSpec("derivative_l2", 1),
-             DistanceSpec("sobolev_h1", derivative_method=DerivativeMethod(
-                 "local_poly", 3, 0.1))]
+             DistanceSpec("sobolev_h1", derivative_method=LOCAL_POLY)]
 
     @pytest.mark.parametrize("name", ["gaussian_gaussian", "biweight_triweight"])
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
     @pytest.mark.parametrize("frac", [0.25, 0.4])
     def test_cluster_matches_the_reference_ascent(self, name, spec, frac):
-        rng = np.random.default_rng(5)
-        t = GRID.points
-        M = np.array([c * np.cos(2 * np.pi * f * t) for c, f in
-                      [(0.0, 1.0), (2.0, 1.0), (1.0, 2.0)] * 8])
-        M += 0.3 * rng.standard_normal(M.shape)
-        sample = FunctionalSample.from_matrix(GRID, M)
+        sample = wave_sample()
         pair = builtin_pair(name)
         dmax = DensityModel(sample, pair, spec, normalized=False).max_pairwise_distance
         model = DensityModel(sample, pair, spec, bandwidth=frac * dmax,
@@ -334,6 +340,68 @@ class TestAscendOracle:
         half = MeanShiftConfig(perturbation_scale=0.7).resolved(model)
         assert half.step_tolerance == pytest.approx(1e-6 * 4.0)
         assert half.perturbation_scale == 0.7
+
+
+HILBERT_SPECS = [DistanceSpec("l2"), DistanceSpec("derivative_l2", 1),
+                 DistanceSpec("sobolev_h1"),
+                 DistanceSpec("sobolev_h1", derivative_method=LOCAL_POLY)]
+
+
+def spec_id(spec):
+    return f"{spec.kind}-{spec.derivative_method.kind}"
+
+
+def clustered_wave_sample(name, spec, frac):
+    """The wave sample clustered at a fraction of its largest distance:
+    (model, largest distance, clustering)."""
+    sample = wave_sample()
+    pair = builtin_pair(name)
+    dmax = DensityModel(sample, pair, spec, normalized=False).max_pairwise_distance
+    model = DensityModel(sample, pair, spec, bandwidth=frac * dmax, normalized=False)
+    return model, dmax, cluster(model)
+
+
+# Mean shift ascends the shadow density p~ when the distance is the norm
+# induced by the inner product the gradient is taken in, and the shadow, as a
+# function of t^2, is convex and nonincreasing (Comaniciu & Meer, PAMI 2002,
+# Thm. 1). "gaussian_gaussian" is left out: its truncated shadow is
+# discontinuous at the support edge, so p~ can drop there.
+ASCENT_PAIRS = ["epanechnikov_biweight", "biweight_triweight"]
+
+
+class TestAscentProperty:
+    @pytest.mark.parametrize("name", ASCENT_PAIRS)
+    @pytest.mark.parametrize("spec", HILBERT_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("frac", [0.25, 0.4, 0.6])
+    def test_density_g_never_falls_along_a_trajectory(self, name, spec, frac):
+        model, _, ms = clustered_wave_sample(name, spec, frac)
+        for tr in ms.trajectories:
+            if tr.destination == OUTSIDE_SUPPORT:
+                continue
+            dens = np.array([model.density_g(it) for it in tr.iterates])
+            assert np.all(np.diff(dens) >= -1e-12 * dens.max())
+
+
+class TestModeStationarity:
+    @pytest.mark.parametrize("name", ASCENT_PAIRS)
+    @pytest.mark.parametrize("spec", HILBERT_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("frac", [0.25, 0.4, 0.6])
+    def test_non_atomic_modes_are_stationary_points_of_density_g(self, name,
+                                                                 spec, frac):
+        # central differences of p~ along unit directions, relative to p~ and
+        # to the unit of length dmax, vanish at a mode up to the step tolerance
+        model, dmax, ms = clustered_wave_sample(name, spec, frac)
+        rng = np.random.default_rng(0)
+        alpha = 1e-5 * dmax
+        for mode, atomic in zip(ms.modes, ms.atomic_flags):
+            if atomic:
+                continue
+            p = model.density_g(mode)
+            for _ in range(8):
+                y = Curve(GRID, rng.standard_normal(len(GRID)))
+                y = y * (alpha / model.ip_norm(y))
+                slope = (model.density_g(mode + y) - model.density_g(mode - y)) / (2 * alpha)
+                assert abs(slope) * dmax / p <= 1e-4
 
 
 class TestBlurring:

@@ -126,19 +126,24 @@ class TestInnerProductAndDistance:
         spec = DistanceSpec("sobolev_h1")
         assert np.isclose(inner_product(a, a, spec), 4.0 / 3.0, atol=1e-4)
 
-    def test_sobolev_distance_is_sum_of_norms(self):
+    def test_sobolev_distance_is_induced_by_the_h1_inner_product(self):
         g = make_grid(501)
         t = g.points
         a = Curve(g, np.sin(2 * np.pi * t))
         b = Curve(g, t**2)
         spec = DistanceSpec("sobolev_h1")
+        d2 = distance(a, b, spec) ** 2
+        diff = a - b
+        assert d2 == pytest.approx(inner_product(diff, diff, spec), rel=1e-12)
         l2 = distance(a, b, DistanceSpec("l2"))
         d1 = distance(a, b, DistanceSpec("derivative_l2", order=1))
-        assert np.isclose(distance(a, b, spec), l2 + d1, atol=1e-12)
-        # the sum of norms dominates the norm induced by the H1 inner product
-        diff = a - b
-        h1_induced = np.sqrt(inner_product(diff, diff, spec))
-        assert distance(a, b, spec) >= h1_induced
+        assert d2 == pytest.approx(l2**2 + d1**2, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, order", [("sobolev_h1", 2), ("l2", 7),
+                                             ("l2", 0), ("sobolev_h1", 0)])
+    def test_order_is_rejected_where_it_does_nothing(self, kind, order):
+        with pytest.raises(ValueError, match=f"order {order} does not apply to {kind}"):
+            DistanceSpec(kind, order=order)
 
     def test_derivative_l2_is_semidistance(self):
         # vertical shifts are invisible to the first-derivative distance

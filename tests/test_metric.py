@@ -95,8 +95,8 @@ def inner_reference(a, b, points, spec):
 
 
 def distance_reference(a, b, points, spec):
-    return sum(np.sqrt(trapezoid(c * c, points))
-               for c in components_reference(a - b, points, spec))
+    return np.sqrt(sum(trapezoid(c * c, points)
+                       for c in components_reference(a - b, points, spec)))
 
 
 LOCAL_POLY = DerivativeMethod("local_poly", 3, 0.08)

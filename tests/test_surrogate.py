@@ -190,15 +190,14 @@ class TestGradientOracle:
         numeric = fd_directional(model, x, y)
         assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-10)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_finite_differences_derivative_l2(self, seed):
+    @staticmethod
+    def check_against_finite_differences(seed, spec):
         # smooth curves keep the derivative part of the distance moderate
         rng = np.random.default_rng(seed + 100)
         t = GRID.points
         M = np.array([c[0] * np.sin(2 * np.pi * t) + c[1] * np.cos(2 * np.pi * t)
                       for c in rng.standard_normal((5, 2))])
         sample = FunctionalSample.from_matrix(GRID, M)
-        spec = DistanceSpec("derivative_l2", order=1)
         model = DensityModel(sample, builtin_pair("gaussian_gaussian"), spec,
                              bandwidth=25.0, normalized=True)
         x = Curve(GRID, 0.3 * np.sin(2 * np.pi * t))
@@ -209,37 +208,20 @@ class TestGradientOracle:
         numeric = fd_directional(model, x, y)
         assert analytic == pytest.approx(numeric, rel=1e-3, abs=1e-9)
 
-    def test_sobolev_directional_derivative_chain_rule(self):
-        # the sum-of-norms metric is not induced by an inner product, so the
-        # true directional derivative follows the chain rule through both
-        # norm terms; check finite differences against that expression
-        rng = np.random.default_rng(42)
-        t = GRID.points
-        M = np.array([c[0] * np.sin(2 * np.pi * t) + c[1] * np.cos(2 * np.pi * t)
-                      for c in rng.standard_normal((5, 2))])
-        sample = FunctionalSample.from_matrix(GRID, M)
-        spec = DistanceSpec("sobolev_h1")
-        pair = builtin_pair("gaussian_gaussian")
-        model = DensityModel(sample, pair, spec, bandwidth=25.0)
-        x = Curve(GRID, 0.3 * np.sin(2 * np.pi * t))
-        y = Curve(GRID, np.cos(2 * np.pi * t))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_finite_differences_derivative_l2(self, seed):
+        self.check_against_finite_differences(
+            seed, DistanceSpec("derivative_l2", order=1))
 
-        from fmshift import DistanceSpec as DS
-        from fmshift import distance, estimate_derivative, inner_product
-        l2 = DS("l2")
-        d1 = DS("derivative_l2", order=1)
-        total = 0.0
-        for X in sample.curves:
-            diff = X - x
-            dl2 = distance(X, x, l2)
-            dd1 = distance(X, x, d1)
-            d = dl2 + dd1
-            h = 25.0
-            ddir = -(inner_product(diff, y, l2) / dl2
-                     + inner_product(diff, y, d1) / dd1)
-            total += model.w_G * pair.g.deriv(d / h) / h * ddir
-        numeric = fd_directional(model, x, y)
-        assert numeric == pytest.approx(total, rel=1e-3, abs=1e-9)
+    @pytest.mark.parametrize("method", [
+        DerivativeMethod(), DerivativeMethod("local_poly", 3, 0.1)],
+        ids=lambda m: m.kind)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_finite_differences_sobolev_h1(self, seed, method):
+        # the distance is the norm the H1 inner product induces, so the
+        # gradient in that inner product is exact, as for the other kinds
+        self.check_against_finite_differences(
+            seed, DistanceSpec("sobolev_h1", derivative_method=method))
 
     def test_gradient_is_weighted_sum_of_differences(self):
         model, x, _, _ = random_instance(3)
