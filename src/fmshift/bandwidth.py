@@ -108,6 +108,22 @@ def _max_distance(sample: FunctionalSample, pair: KernelPair,
     return dmax
 
 
+def _percentile_distance(sample: FunctionalSample, pair: KernelPair,
+                         distance: DistanceSpec, q: float) -> float:
+    """The q-th percentile of the pairwise distances i != j, a bandwidth for
+    the mode test; ValueError when it is zero up to rounding."""
+    ref = DensityModel(sample, pair, distance, bandwidth=1.0, normalized=False)
+    off = ~np.eye(len(sample), dtype=bool)
+    h = float(np.percentile(ref.pairwise_distances[off], q))
+    if h <= _rounding_level(ref):
+        raise ValueError(
+            f"percentile {q:g} of the first half's pairwise "
+            f"{distance.kind} distances is zero up to rounding ({h:.3g}); "
+            "a bandwidth cannot be taken from it"
+        )
+    return h
+
+
 def scan(sample: FunctionalSample, pair: KernelPair,
          distance: DistanceSpec | None = None,
          spec: ScanSpec | None = None,

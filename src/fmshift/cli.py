@@ -13,12 +13,13 @@ import argparse
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bandwidth import ScanSpec, _max_distance, _rounding_level, scan
+from .bandwidth import ScanSpec, _max_distance, _percentile_distance, scan
 from .engine import OUTSIDE_SUPPORT, MeanShiftConfig, cluster
 from .experiments import GeneratorSpec, fpca_kmeans, generate
 from .function_space import DerivativeMethod, DistanceSpec, FunctionalSample, Grid
@@ -234,21 +235,8 @@ def _cmd_test_modes(args) -> int:
     pair = builtin_pair(args.kernel)
 
     if args.bandwidth_percentile is not None:
-        pct = args.bandwidth_percentile
-
-        def bw(sub1, _pct=pct):
-            ref = DensityModel(sub1, pair, spec, bandwidth=1.0, normalized=False)
-            n = len(sub1)
-            off = ~np.eye(n, dtype=bool)
-            h = float(np.percentile(ref.pairwise_distances[off], _pct))
-            if h <= _rounding_level(ref):
-                raise ValueError(
-                    f"percentile {_pct:g} of the first half's pairwise "
-                    f"{spec.kind} distances is zero up to rounding ({h:.3g}); "
-                    "a bandwidth cannot be taken from it"
-                )
-            return h
-        bandwidth = bw
+        bandwidth = partial(_percentile_distance, pair=pair, distance=spec,
+                            q=args.bandwidth_percentile)
     else:
         bandwidth = _absolute_bandwidth(args, sample, pair, spec)
 

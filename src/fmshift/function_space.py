@@ -187,8 +187,8 @@ class DerivativeMethod:
 
     kind "finite_difference": central differences, one-sided at the ends.
     kind "local_poly": moving-window weighted least-squares polynomial fit of
-    the given degree with a Gaussian weight of scale ``bandwidth`` (in domain
-    units); the derivative is read off the fitted coefficients.
+    the given degree with a Gaussian weight of scale ``bandwidth`` (domain
+    units, local_poly only); the derivative is read off the fitted coefficients.
     """
 
     kind: str = "finite_difference"
@@ -198,6 +198,9 @@ class DerivativeMethod:
     def __post_init__(self):
         if self.kind not in ("finite_difference", "local_poly"):
             raise ValueError(f"unknown derivative method {self.kind!r}")
+        if self.kind == "finite_difference" and self.bandwidth is not None:
+            raise ValueError(f"smoothing bandwidth {self.bandwidth!r} does not apply "
+                             "to finite_difference; only local_poly takes one")
         if self.kind == "local_poly":
             h = self.bandwidth
             if h is None or not np.isfinite(h) or h <= 0:
@@ -215,7 +218,8 @@ class DistanceSpec:
     kind "derivative_l2": L2 norm of the difference of order-m derivatives
     (a semi-distance; insensitive to vertical shifts for m >= 1).
     kind "sobolev_h1": the H1 norm sqrt(||x-y||_L2^2 + ||x'-y'||_L2^2).
-    ``order`` applies to "derivative_l2" only; the other kinds take 1.
+    ``order`` applies to "derivative_l2" only; the other kinds take 1. "l2"
+    takes only the default ``derivative_method``, ``DerivativeMethod()``.
     """
 
     kind: str = "l2"
@@ -230,6 +234,9 @@ class DistanceSpec:
         if self.kind != "derivative_l2" and self.order != 1:
             raise ValueError(f"order {self.order} does not apply to {self.kind}; "
                              "only derivative_l2 takes an order")
+        if self.kind == "l2" and self.derivative_method != DerivativeMethod():
+            raise ValueError(f"derivative method {self.derivative_method} does not "
+                             "apply to l2; only derivative_l2 and sobolev_h1 take one")
 
 
 def _check_same_grid(a: Curve, b: Curve):

@@ -93,21 +93,14 @@ class DensityModel:
                  distance: DistanceSpec | None = None,
                  bandwidth: float | Sequence[float] = 1.0,
                  normalized: bool = True):
-        self.sample = sample
         self.pair = pair
         self.distance = distance or DistanceSpec()
         self.normalized = bool(normalized)
-
         self.grid = sample.grid
         self.metric = Metric(self.grid, self.distance)
-        self._V = sample.matrix
-        self._n = self._V.shape[0]
-        self._h = _bandwidths(bandwidth, self._n)
-        self._h2 = self._h**2
-        self._h3 = self._h**3
-        self._F = self.metric.components(self._V)
-        self._base = self._idx = self._memo = None
-        self._set_pairwise(self.metric.pairwise(self._F))
+        F = self.metric.components(sample.matrix)
+        self._set(sample, F, _bandwidths(bandwidth, len(sample)),
+                  self.metric.pairwise(F), None)
 
     def resample(self, idx) -> "DensityModel":
         """The model of ``self.sample.subset(idx)`` at the same bandwidths
@@ -115,29 +108,34 @@ class DensityModel:
         model of that sample to the last bit.
 
         Nothing is recomputed that this model already holds: the component
-        rows, the bandwidths and the pairwise distances are gathered by row,
-        and so are the curvature terms at the queries of this model's last
-        curvature evaluation (see the class docstring).
+        rows, the bandwidths, the pairwise distances and the curvature terms
+        this model keeps, if any yet (see the class docstring), are gathered
+        by row as the resample is built.
         """
         idx = np.asarray(idx, dtype=np.intp)
         new = object.__new__(DensityModel)
         new.pair, new.distance, new.grid = self.pair, self.distance, self.grid
         new.normalized, new.metric = self.normalized, self.metric
-        new.sample = self.sample.subset(idx)
-        new._V = new.sample.matrix
-        new._n = idx.size
-        new._h, new._h2, new._h3 = self._h[idx], self._h2[idx], self._h3[idx]
-        new._F = new._V if self._F is self._V else self._F[idx]
-        new._base, new._idx, new._memo = self, idx, None
-        new._set_pairwise(self.pairwise_distances[np.ix_(idx, idx)])
+        sample = self.sample.subset(idx)
+        F = sample.matrix if self._F is self._V else self._F[idx]
+        memo = None if self._memo is None else (
+            self._memo[0], tuple(np.take(a, idx, axis=1) for a in self._memo[1]))
+        new._set(sample, F, self._h[idx], self.pairwise_distances[np.ix_(idx, idx)],
+                 memo)
         return new
 
-    def _set_pairwise(self, D: np.ndarray):
-        """Take over the pairwise-distance matrix D (read-only from here:
-        the extremes are read from it on first use) and set the normalizers
-        w_K and w_G from it."""
-        self.pairwise_distances = D
-        D.setflags(write=False)
+    def _set(self, sample: FunctionalSample, F: np.ndarray, h: np.ndarray,
+             D: np.ndarray, memo):
+        """The one state setter of ``__init__`` and ``resample``: the sample,
+        its component rows F and n bandwidths h, its pairwise distances D and
+        kept curvature terms ``memo`` (stack, terms) or None, D and the terms
+        read-only from here; then the normalizers w_K and w_G from D."""
+        self.sample, self._V, self._n, self._F = sample, sample.matrix, len(sample), F
+        self._h, self._h2, self._h3 = h, h**2, h**3
+        self.pairwise_distances, self._memo = D, memo
+        for a in (D, *(() if memo is None else memo[1])):
+            a.setflags(write=False)
+        self.w_K = self.w_G = 1.0
         if self.normalized and self._n > 1:
             T = D / self._h[:, None]  # datum i uses h(X_i)
             np.fill_diagonal(T, np.inf)  # pairs i != j only
@@ -150,11 +148,7 @@ class DensityModel:
                     f"bandwidth reach (minimum pairwise distance "
                     f"{self.min_pairwise_distance:.6g})"
                 )
-            self.w_K = (self._n - 1) / sum_k
-            self.w_G = (self._n - 1) / sum_g
-        else:
-            self.w_K = 1.0
-            self.w_G = 1.0
+            self.w_K, self.w_G = (self._n - 1) / sum_k, (self._n - 1) / sum_g
 
     @cached_property
     def min_pairwise_distance(self) -> float:
@@ -280,28 +274,22 @@ class DensityModel:
         k'(d/h)/d is set to 0 where d = 0. A zero distance with k'(0) != 0
         needs the profile limit lim k'(t)/t and raises if it is unavailable.
 
-        The terms of the last stack are kept: a repeat of it returns them,
-        and a resample whose base holds the terms of an equal stack gathers
-        them by row. ``np.take`` gathers into C order, the layout of freshly
-        computed terms, so the products taken of them round the same way.
+        The terms of the last stack are kept, and a repeat of it returns them.
+        A resample starts with its base's, gathered by ``np.take`` into C
+        order, the layout of fresh terms, so products of them round the same.
         """
         memo = self._memo
         if memo is not None and np.array_equal(memo[0], XF):
             return memo[1]
-        base = self._base
-        if base is not None and base._memo is not None \
-                and np.array_equal(base._memo[0], XF):
-            terms = tuple(np.take(a, self._idx, axis=1) for a in base._memo[1])
-        else:
-            DF, d = self._diff(XF)
-            t = d / self._h
-            kv = self.pair.k(t)
-            dk = self.pair.k.deriv(t)
-            zero = d == 0.0
-            if np.any(zero & (dk != 0.0)):
-                self._curvature_limit()  # raises if the limit is unavailable
-            dk_over_d = np.divide(dk, d, out=np.zeros_like(d), where=~zero)
-            terms = DF, d, kv, dk, dk_over_d
+        DF, d = self._diff(XF)
+        t = d / self._h
+        kv = self.pair.k(t)
+        dk = self.pair.k.deriv(t)
+        zero = d == 0.0
+        if np.any(zero & (dk != 0.0)):
+            self._curvature_limit()  # raises if the limit is unavailable
+        dk_over_d = np.divide(dk, d, out=np.zeros_like(d), where=~zero)
+        terms = DF, d, kv, dk, dk_over_d
         for a in terms:
             a.setflags(write=False)
         self._memo = XF, terms

@@ -5,7 +5,8 @@ import pytest
 
 from fmshift import (DensityModel, DerivativeMethod, DistanceSpec,
                      FunctionalSample, Grid, ScanSpec, builtin_pair, scan)
-from fmshift.bandwidth import _find_plateaus, _max_distance, _rounding_level
+from fmshift.bandwidth import (_find_plateaus, _max_distance, _percentile_distance,
+                               _rounding_level)
 
 GRID = Grid(np.linspace(0.0, 1.0, 21))
 
@@ -185,3 +186,29 @@ class TestRoundingLevel:
         with pytest.raises(ValueError, match=f"identical under the {spec.kind} "
                                              "distance"):
             _max_distance(same, builtin_pair("gaussian_gaussian"), spec)
+
+
+class TestPercentileDistance:
+    @pytest.mark.parametrize("spec", ROUNDING_SPECS,
+                             ids=["l2", "sobolev_h1", "derivative_l2_local_poly"])
+    def test_is_the_percentile_of_the_off_diagonal_distances(self, spec):
+        V = np.random.default_rng(9).standard_normal((12, len(GRID)))
+        sample = FunctionalSample.from_matrix(GRID, V)
+        pair = builtin_pair("gaussian_gaussian")
+        D = DensityModel(sample, pair, spec, normalized=False).pairwise_distances
+        off = D[~np.eye(12, dtype=bool)]
+        for q in (0.0, 41.0, 100.0):
+            assert _percentile_distance(sample, pair, spec, q) \
+                == float(np.percentile(off, q))
+
+    @pytest.mark.parametrize("spec", ROUNDING_SPECS,
+                             ids=["l2", "sobolev_h1", "derivative_l2_local_poly"])
+    def test_zero_up_to_rounding_raises(self, spec):
+        # two distinct curves among copies: most pairs are at distance zero
+        rows = np.tile(np.random.default_rng(10).standard_normal(len(GRID)), (6, 1))
+        rows[0] += np.linspace(0.0, 1.0, len(GRID)) ** 2
+        sample = FunctionalSample.from_matrix(GRID, rows)
+        with pytest.raises(ValueError, match="percentile 41 of the first half's "
+                                             f"pairwise {spec.kind} distances is "
+                                             "zero up to rounding"):
+            _percentile_distance(sample, builtin_pair("gaussian_gaussian"), spec, 41)

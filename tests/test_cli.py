@@ -136,6 +136,28 @@ class TestCluster:
         assert f"category=input: order 2 does not apply to {distance}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--deriv-method", "local_poly", "--deriv-bandwidth", 0.1],
+         "derivative method DerivativeMethod(kind='local_poly', degree=2, "
+         "bandwidth=0.1) does not apply to l2"),
+        (["--deriv-bandwidth", 0.1],
+         "smoothing bandwidth 0.1 does not apply to finite_difference")],
+        ids=["local_poly", "bandwidth"])
+    def test_derivative_setting_on_l2_is_exit_2(self, flags, message, curves_csv,
+                                                tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        rc = run(["cluster", "--input", curves_csv, "--bandwidth", 1.0,
+                  "--distance", "l2", *flags, "--out", out])
+        assert rc == 2
+        assert f"category=input: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_derivative_flags_pass_on_l2(self, curves_csv, tmp_path):
+        # the defaults of --deriv-method and --deriv-degree are DerivativeMethod()
+        assert run(["cluster", "--input", curves_csv, "--bandwidth", 1.0,
+                    "--distance", "l2", "--deriv-method", "finite_difference",
+                    "--deriv-degree", 2, "--out", tmp_path / "r.txt"]) == 0
+
     @pytest.mark.parametrize("error", [OutsideSupportError,
                                        SingularEvaluationError])
     def test_numeric_errors_are_exit_3(self, error, curves_csv, tmp_path,

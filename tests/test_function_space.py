@@ -145,6 +145,20 @@ class TestInnerProductAndDistance:
         with pytest.raises(ValueError, match=f"order {order} does not apply to {kind}"):
             DistanceSpec(kind, order=order)
 
+    @pytest.mark.parametrize("method", [
+        DerivativeMethod("local_poly", 3, 0.1), DerivativeMethod("finite_difference", 3)],
+        ids=["local_poly", "finite_difference_degree_3"])
+    def test_derivative_method_is_rejected_on_l2(self, method):
+        with pytest.raises(ValueError, match=r"derivative method DerivativeMethod\(kind="
+                                             f"'{method.kind}'.* does not apply to l2"):
+            DistanceSpec("l2", derivative_method=method)
+
+    @pytest.mark.parametrize("kind, order", [("l2", 1), ("derivative_l2", 2),
+                                             ("sobolev_h1", 1)])
+    def test_the_default_derivative_method_is_accepted_on_every_kind(self, kind, order):
+        assert DistanceSpec(kind, order, DerivativeMethod()).derivative_method \
+            == DerivativeMethod("finite_difference", 2, None)
+
     def test_derivative_l2_is_semidistance(self):
         # vertical shifts are invisible to the first-derivative distance
         g = make_grid(201)
@@ -233,6 +247,12 @@ class TestDerivatives:
         with pytest.raises(ValueError):
             estimate_derivative(c, 2, DerivativeMethod("local_poly", degree=1,
                                                        bandwidth=0.1))
+
+    @pytest.mark.parametrize("bandwidth", [0.1, 0.0, np.nan])
+    def test_finite_difference_rejects_a_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match=f"smoothing bandwidth {bandwidth!r} "
+                                             "does not apply to finite_difference"):
+            DerivativeMethod("finite_difference", bandwidth=bandwidth)
 
     def test_local_poly_requires_bandwidth(self):
         with pytest.raises(ValueError):

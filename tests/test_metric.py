@@ -101,13 +101,21 @@ def distance_reference(a, b, points, spec):
 
 LOCAL_POLY = DerivativeMethod("local_poly", 3, 0.08)
 
+# every kind and order with each derivative method it takes; l2 takes none
+KIND_ORDER_METHOD = [
+    pytest.param(kind, order, method, id=f"{kind}-{order}-{method.kind}")
+    for kind, order in [("l2", 1), ("derivative_l2", 1), ("derivative_l2", 2),
+                        ("sobolev_h1", 1)]
+    for method in [DerivativeMethod(), DerivativeMethod("local_poly", 2, 0.1)]
+    if kind != "l2" or method == DerivativeMethod()]
+
 
 @st.composite
 def metric_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     kind = draw(st.sampled_from(["l2", "derivative_l2", "sobolev_h1"]))
     order = draw(st.sampled_from([1, 2])) if kind == "derivative_l2" else 1
-    if draw(st.booleans()):
+    if kind != "l2" and draw(st.booleans()):
         method = DerivativeMethod("local_poly", draw(st.integers(2, 3)),
                                   draw(st.sampled_from([0.02, 0.08, 0.3])))
     else:
@@ -213,11 +221,7 @@ class TestMetricOracle:
         ref_paper = cw * (2.0 * np.sqrt(ip(v, v)) - scalar)
         assert model.lambda_paper(Curve(grid, x)) == pytest.approx(ref_paper, rel=1e-9)
 
-    @pytest.mark.parametrize("method", [
-        DerivativeMethod(), DerivativeMethod("local_poly", 2, 0.1)],
-        ids=["finite_difference", "local_poly"])
-    @pytest.mark.parametrize("kind, order", [
-        ("l2", 1), ("derivative_l2", 1), ("derivative_l2", 2), ("sobolev_h1", 1)])
+    @pytest.mark.parametrize("kind, order, method", KIND_ORDER_METHOD)
     def test_a_curve_is_at_distance_zero_from_itself(self, kind, order, method):
         grid = Grid(np.linspace(0.0, 1.0, 25))
         V = np.random.default_rng(5).standard_normal((10, 25))
@@ -230,11 +234,7 @@ class TestMetricOracle:
             # a fresh copy of the values, not the sample's own curve
             assert model.distances_to(Curve(grid, row.copy()))[i] == 0.0
 
-    @pytest.mark.parametrize("method", [
-        DerivativeMethod(), DerivativeMethod("local_poly", 2, 0.1)],
-        ids=["finite_difference", "local_poly"])
-    @pytest.mark.parametrize("kind, order", [
-        ("l2", 1), ("derivative_l2", 1), ("derivative_l2", 2), ("sobolev_h1", 1)])
+    @pytest.mark.parametrize("kind, order, method", KIND_ORDER_METHOD)
     def test_pairwise_of_gathered_rows_is_the_gathered_pairwise(self, kind, order,
                                                                 method):
         # an entry depends on its two rows alone, not on the rows stacked
@@ -283,11 +283,7 @@ class TestMetricOracle:
 
 
 class TestPairwise:
-    @pytest.mark.parametrize("method", [
-        DerivativeMethod(), DerivativeMethod("local_poly", 2, 0.1)],
-        ids=["finite_difference", "local_poly"])
-    @pytest.mark.parametrize("kind, order", [
-        ("l2", 1), ("derivative_l2", 1), ("derivative_l2", 2), ("sobolev_h1", 1)])
+    @pytest.mark.parametrize("kind, order, method", KIND_ORDER_METHOD)
     def test_exactly_symmetric_with_a_zero_diagonal(self, kind, order, method):
         grid = Grid(np.sort(np.random.default_rng(2).uniform(0.0, 1.0, 30)))
         V = np.random.default_rng(3).standard_normal((40, 30))

@@ -627,6 +627,26 @@ def some_queries(model, seed):
             Curve(GRID, mean + 0.3 * rng.standard_normal(len(GRID)))]
 
 
+def fresh_model(base, idx, per_datum):
+    """A model built from scratch on copies of the base's rows ``idx``."""
+    h = base._h[idx] if per_datum else float(base._h[0])
+    return DensityModel(FunctionalSample.from_matrix(GRID, base._V[idx]),
+                        base.pair, base.distance, bandwidth=h)
+
+
+def assert_same_model(rs, fresh, xs, got):
+    """The resample ``rs``, whose statistics at ``xs`` are ``got``, equals
+    ``fresh`` to the last bit, its kept terms included."""
+    assert np.array_equal(rs.pairwise_distances, fresh.pairwise_distances)
+    assert rs.w_K == fresh.w_K and rs.w_G == fresh.w_G
+    assert np.array_equal(rs._h, fresh._h) and np.array_equal(rs._F, fresh._F)
+    want = fresh.curvature_statistics(xs)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for a, b in zip(rs._memo[1], fresh._memo[1], strict=True):
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable and a.flags.c_contiguous
+
+
 def counting(monkeypatch, cls, name):
     """Count the calls of cls.name from here on."""
     real, calls = getattr(cls, name), []
@@ -695,6 +715,42 @@ class TestResample:
         rs = base.resample(idx)
         assert inits == [] and len(subsets) == 1
         assert rs.metric is base.metric
+
+    def test_a_chained_resample_carries_the_kept_terms(self, spec, per_datum,
+                                                       monkeypatch):
+        base, _, _, i1 = resample_pair(RESAMPLE_SPECS[spec], per_datum)
+        xs = some_queries(base, 3)
+        base.curvature_statistics(xs)
+        i2 = np.random.default_rng(6).integers(0, i1.size, size=i1.size - 4)
+        rs = base.resample(i1).resample(i2)
+        diffs = counting(monkeypatch, DensityModel, "_diff")
+        got = rs.curvature_statistics(xs)
+        assert diffs == []  # gathered twice, computed never
+        assert_same_model(rs, fresh_model(base, i1[i2], per_datum), xs, got)
+
+    def test_a_resample_made_before_the_base_query_computes_once(
+            self, spec, per_datum, monkeypatch):
+        base, rs, fresh, _ = resample_pair(RESAMPLE_SPECS[spec], per_datum)
+        xs = some_queries(base, 3)
+        base.curvature_statistics(xs)
+        diffs = counting(monkeypatch, DensityModel, "_diff")
+        got = rs.curvature_statistics(xs)
+        assert len(diffs) == 1  # made with no kept terms to carry
+        rs.curvature_statistics(xs)
+        assert len(diffs) == 1  # the repeat reads its own kept terms
+        assert_same_model(rs, fresh, xs, got)
+
+    @given(idx=st.lists(st.integers(0, 29), min_size=2, max_size=45)
+           .filter(lambda v: len(set(v)) < len(v)))  # a repeat: a pair in reach
+    @settings(max_examples=25, deadline=None)
+    def test_any_gather_with_repeats_equals_a_fresh_model(self, spec, per_datum,
+                                                          idx):
+        base, _, _, _ = resample_pair(RESAMPLE_SPECS[spec], per_datum)
+        xs = some_queries(base, 3)
+        base.curvature_statistics(xs)
+        rs = base.resample(idx)
+        assert_same_model(rs, fresh_model(base, np.array(idx), per_datum), xs,
+                          rs.curvature_statistics(xs))
 
     def test_kept_terms_are_read_only(self, spec, per_datum):
         base, rs, _, _ = resample_pair(RESAMPLE_SPECS[spec], per_datum)
