@@ -1,4 +1,8 @@
-"""Mean-shift mode hunting, clustering and inference for discretized curves."""
+"""Mean-shift mode hunting, clustering and inference for discretized curves.
+
+Scipy is imported inside the few functions that use it, never at module
+level, so that clustering and the bandwidth scan start without loading it.
+"""
 
 __version__ = "0.1.0"
 

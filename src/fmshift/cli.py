@@ -73,8 +73,9 @@ def _add_input_args(p):
     p.add_argument("--smooth-method", choices=["finite_difference", "local_poly"],
                    default="local_poly")
     p.add_argument("--smooth-degree", type=int, default=2)
-    p.add_argument("--smooth-bandwidth", type=float, default=0.05,
-                   help="local polynomial smoothing bandwidth in normalized time")
+    p.add_argument("--smooth-bandwidth", type=float, default=None,
+                   help="local polynomial smoothing bandwidth in normalized time "
+                        "(default 0.05 for local_poly)")
 
 
 def _add_model_args(p):
@@ -120,9 +121,10 @@ def _load_sample(args):
     if args.input:
         return read_curves_csv(args.input), {"input": file_digest(args.input)}
     grid = Grid(np.linspace(0.0, 1.0, args.sig_grid_points))
-    method = DerivativeMethod(args.smooth_method, args.smooth_degree,
-                              args.smooth_bandwidth
-                              if args.smooth_method == "local_poly" else None)
+    bandwidth = args.smooth_bandwidth
+    if bandwidth is None and args.smooth_method == "local_poly":
+        bandwidth = 0.05
+    method = DerivativeMethod(args.smooth_method, args.smooth_degree, bandwidth)
     entries = read_signature_dir(args.signatures)
     curves, labels, digests = [], [], {}
     for name, record in entries:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .function_space import Curve, FunctionalSample
 from .surrogate import DensityModel, OutsideSupportError
@@ -137,6 +136,24 @@ def ascend(model: DensityModel, x0: Curve, cfg: MeanShiftConfig) -> Trajectory:
     return Trajectory(x0, tuple(iterates), converged, destination=0)
 
 
+def _components(A: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, labels) of the connected components of the graph with the
+    symmetric boolean adjacency matrix A, found breadth first and numbered in
+    order of each component's lowest node."""
+    labels = np.full(len(A), -1)
+    count = 0
+    for i in range(len(A)):
+        if labels[i] >= 0:
+            continue
+        labels[i] = count
+        reached = A[i] & (labels < 0)
+        while reached.any():
+            labels[reached] = count
+            reached = A[reached].any(axis=0) & (labels < 0)
+        count += 1
+    return count, labels
+
+
 def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
             starts: list[Curve] | None = None) -> ModeSet:
     """Run mean-shift from every start and merge the terminal points.
@@ -161,10 +178,10 @@ def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
     if in_support:
         terminals = np.array([trajectories[i].terminal.values for i in in_support])
         F = model.metric.components(terminals)
-        # single linkage: connected components of the graph with edges below
-        # the radius, labelled in order of first appearance
-        n_modes, labels = connected_components(
-            model.metric.pairwise(F) <= radius, directed=False)
+        # single linkage: the connected components, found breadth first, of
+        # the graph linking terminals within the radius, labelled in order of
+        # first appearance
+        n_modes, labels = _components(model.metric.pairwise(F) <= radius)
         for j in range(n_modes):
             modes.append(Curve(model.grid, terminals[labels == j].mean(axis=0)))
         for pos, i in enumerate(in_support):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .function_space import FunctionalSample, Grid
 
@@ -194,6 +193,8 @@ def fpca_kmeans(sample: FunctionalSample, n_components: int, k: int,
 
 def clustering_accuracy(true_labels, cluster_labels) -> float:
     """Best agreement over injective maps from cluster labels to true labels."""
+    from scipy.optimize import linear_sum_assignment
+
     true_labels = list(true_labels)
     cluster_labels = list(cluster_labels)
     if len(true_labels) != len(cluster_labels):

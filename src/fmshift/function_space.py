@@ -185,7 +185,8 @@ class FunctionalSample:
 class DerivativeMethod:
     """How to estimate curve derivatives.
 
-    kind "finite_difference": central differences, one-sided at the ends.
+    kind "finite_difference": central differences, one-sided at the ends; it
+    takes the default ``degree`` 2 and no ``bandwidth``.
     kind "local_poly": moving-window weighted least-squares polynomial fit of
     the given degree with a Gaussian weight of scale ``bandwidth`` (domain
     units, local_poly only); the derivative is read off the fitted coefficients.
@@ -201,6 +202,9 @@ class DerivativeMethod:
         if self.kind == "finite_difference" and self.bandwidth is not None:
             raise ValueError(f"smoothing bandwidth {self.bandwidth!r} does not apply "
                              "to finite_difference; only local_poly takes one")
+        if self.kind == "finite_difference" and self.degree != 2:
+            raise ValueError(f"degree {self.degree!r} does not apply to "
+                             "finite_difference; only local_poly takes one")
         if self.kind == "local_poly":
             h = self.bandwidth
             if h is None or not np.isfinite(h) or h <= 0:

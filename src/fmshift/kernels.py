@@ -12,12 +12,12 @@ fixed by C).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "Profile",
@@ -113,7 +113,7 @@ class KernelPair:
 # ---------------------------------------------------------------------------
 # Built-in profiles
 
-_GAUSS_C = float(np.sqrt(np.pi / 2.0) * special.erf(1.0 / np.sqrt(2.0)))
+_GAUSS_C = math.sqrt(math.pi / 2.0) * math.erf(1.0 / math.sqrt(2.0))
 
 
 def _poly_shadow_deriv2(t, p):
@@ -144,6 +144,8 @@ def _gaussian_profile(name, scale=1.0):
 
 
 def _sinc_C() -> float:
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda t: (np.pi / 2.0) ** 2 * np.sinc(t / 2.0), 0.0, 1.0
     )
@@ -231,6 +233,8 @@ def shadow_of(g: Profile) -> KernelPair:
     Requires -g'(t)/t to have a finite positive limit at 0 (g locally
     quadratic near the origin) and the resulting profile to be nonincreasing.
     """
+    from scipy import integrate
+
     ts = np.array([1e-3, 1e-4, 1e-5, 1e-6])
     vals = -g.deriv(ts) / ts
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0):

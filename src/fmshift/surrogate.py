@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr
 
 from .function_space import (
     Curve,
@@ -61,7 +60,12 @@ def _bandwidths(bandwidth, n: int) -> np.ndarray:
 
 def _top_eigenvalue(G: np.ndarray) -> float:
     """The largest eigenvalue alone of the exactly symmetric matrix G, which
-    is overwritten (G^T is G in Fortran order), by LAPACK ``dsyevr``."""
+    is overwritten (G^T is G in Fortran order), by LAPACK ``dsyevr``.
+
+    Scipy is imported here, on first use, so that only the curvature
+    statistics load it."""
+    from scipy.linalg.lapack import dsyevr
+
     m = G.shape[0]
     w, *_, info = dsyevr(G.T, compute_v=0, range="I", il=m, iu=m, overwrite_a=1)
     if info != 0:

@@ -152,6 +152,16 @@ class TestCluster:
         assert f"category=input: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_degree_on_finite_difference_is_exit_2(self, curves_csv, tmp_path,
+                                                   capsys):
+        out = tmp_path / "r.txt"
+        rc = run(["cluster", "--input", curves_csv, "--bandwidth", 1.0,
+                  "--distance", "sobolev_h1", "--deriv-degree", 7, "--out", out])
+        assert rc == 2
+        assert ("category=input: degree 7 does not apply to finite_difference"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_default_derivative_flags_pass_on_l2(self, curves_csv, tmp_path):
         # the defaults of --deriv-method and --deriv-degree are DerivativeMethod()
         assert run(["cluster", "--input", curves_csv, "--bandwidth", 1.0,
@@ -335,7 +345,7 @@ class TestTestModes:
         def failing(a, **kwargs):
             return np.zeros(len(a)), np.zeros((0, 0)), 0, np.zeros(0, np.int32), 1
 
-        monkeypatch.setattr(fmshift.surrogate, "dsyevr", failing)
+        monkeypatch.setattr("scipy.linalg.lapack.dsyevr", failing)
         rc = run(["test-modes", "--input", curves_csv,
                   "--bandwidth-percentile", 41, "--boot", 100,
                   "--out", tmp_path / "tm.txt"])
@@ -433,9 +443,40 @@ def test_signature_run_builds_each_local_poly_operator_once(tmp_path,
 class TestSignatureFiles:
     NAMES = [f"s{i}.txt" for i in range(5)]
 
-    def cluster(self, sigdir, out):
+    def cluster(self, sigdir, out, *flags):
         return run(["cluster", "--signatures", sigdir, "--sig-grid-points", 48,
-                    "--bandwidth-frac", 0.4, "--out", out])
+                    "--bandwidth-frac", 0.4, *flags, "--out", out])
+
+    def test_default_smoothing_is_local_poly_at_0_05(self, tmp_path):
+        sigdir = tmp_path / "sigs"
+        write_circles(sigdir, self.NAMES)
+        default, explicit = tmp_path / "default.txt", tmp_path / "explicit.txt"
+        assert self.cluster(sigdir, default) == 0
+        assert self.cluster(sigdir, explicit, "--smooth-method", "local_poly",
+                            "--smooth-bandwidth", 0.05) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--smooth-bandwidth", 0.05],
+         "smoothing bandwidth 0.05 does not apply to finite_difference"),
+        (["--smooth-degree", 3],
+         "degree 3 does not apply to finite_difference")],
+        ids=["bandwidth", "degree"])
+    def test_smoothing_setting_on_finite_difference_is_exit_2(
+            self, flags, message, tmp_path, capsys):
+        sigdir = tmp_path / "sigs"
+        write_circles(sigdir, self.NAMES)
+        out = tmp_path / "r.txt"
+        assert self.cluster(sigdir, out, "--smooth-method", "finite_difference",
+                            *flags) == 2
+        assert f"category=input: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finite_difference_smoothing_with_default_flags_runs(self, tmp_path):
+        sigdir = tmp_path / "sigs"
+        write_circles(sigdir, self.NAMES)
+        assert self.cluster(sigdir, tmp_path / "r.txt", "--smooth-method",
+                            "finite_difference", "--smooth-degree", 2) == 0
 
     def test_file_name_with_the_separator_round_trips(self, tmp_path):
         sigdir = tmp_path / "sigs"

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from fmshift import (
     BUILTIN_PAIR_NAMES,
@@ -21,6 +22,7 @@ from fmshift import (
     builtin_pair,
     cluster,
 )
+from fmshift.engine import _components
 
 GRID = Grid(np.linspace(0.0, 1.0, 21))
 
@@ -209,6 +211,46 @@ def test_samples_built_three_ways_cluster_identically(seed, kind):
         assert ms.stability_flags == runs[0].stability_flags
         for tr, tr0 in zip(ms.trajectories, runs[0].trajectories):
             assert np.array_equal(tr.terminal.values, tr0.terminal.values)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Symmetric boolean adjacency matrices of 1 to 120 nodes, any diagonal."""
+    n = draw(st.integers(1, 120))
+    density = draw(st.sampled_from([0.0, 0.3 / n, 1.0 / n, 3.0 / n, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density)
+    return upper | upper.T
+
+
+def chain(order):
+    """The path graph visiting the nodes in the given order."""
+    A = np.eye(len(order), dtype=bool)
+    A[order[:-1], order[1:]] = A[order[1:], order[:-1]] = True
+    return A
+
+
+def two_blocks(side):
+    """Two complete blocks of nodes, interleaved by the 0/1 pattern side."""
+    side = np.array(side)
+    return side[:, None] == side[None, :]
+
+
+class TestComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(A=symmetric_graphs())
+    @example(A=np.zeros((7, 7), dtype=bool))
+    @example(A=np.eye(120, dtype=bool))
+    @example(A=np.ones((1, 1), dtype=bool))
+    @example(A=np.ones((40, 40), dtype=bool))
+    @example(A=chain(np.random.default_rng(3).permutation(60)))
+    @example(A=two_blocks([1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1]))
+    def test_matches_csgraph(self, A):
+        # single-linkage merging labels as scipy's connected components do
+        count, labels = _components(A)
+        want_count, want = connected_components(A, directed=False)
+        assert count == want_count
+        assert np.array_equal(labels, want)
 
 
 class TestConfig:

@@ -146,8 +146,8 @@ class TestInnerProductAndDistance:
             DistanceSpec(kind, order=order)
 
     @pytest.mark.parametrize("method", [
-        DerivativeMethod("local_poly", 3, 0.1), DerivativeMethod("finite_difference", 3)],
-        ids=["local_poly", "finite_difference_degree_3"])
+        DerivativeMethod("local_poly", 3, 0.1), DerivativeMethod("local_poly", 2, 0.05)],
+        ids=["local_poly", "local_poly_degree_2"])
     def test_derivative_method_is_rejected_on_l2(self, method):
         with pytest.raises(ValueError, match=r"derivative method DerivativeMethod\(kind="
                                              f"'{method.kind}'.* does not apply to l2"):
@@ -253,6 +253,14 @@ class TestDerivatives:
         with pytest.raises(ValueError, match=f"smoothing bandwidth {bandwidth!r} "
                                              "does not apply to finite_difference"):
             DerivativeMethod("finite_difference", bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("degree", [0, 1, 3, 7])
+    def test_finite_difference_rejects_a_degree(self, degree):
+        # np.gradient has no degree: any but the default would do nothing
+        with pytest.raises(ValueError, match=f"degree {degree} does not apply to "
+                                             "finite_difference; only local_poly "
+                                             "takes one"):
+            DerivativeMethod("finite_difference", degree)
 
     def test_local_poly_requires_bandwidth(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from fmshift import (
     shadow_of,
     validate_pair,
 )
+from fmshift import kernels
 
 
 class TestBuiltinPairs:
@@ -48,6 +49,12 @@ class TestBuiltinPairs:
         assert pair.C == pytest.approx(ref, rel=1e-12)
         num, _ = integrate.quad(lambda t: np.exp(-0.5 * t**2), 0.0, 1.0)
         assert pair.C == pytest.approx(num, rel=1e-9)
+
+    def test_gaussian_constant_is_the_erf_form_bit_for_bit(self):
+        # math.erf gives the constant scipy's erf gave, to the last bit
+        ref = float(np.sqrt(np.pi / 2.0) * special.erf(1.0 / np.sqrt(2.0)))
+        assert kernels._GAUSS_C == ref
+        assert builtin_pair("gaussian_gaussian").C == ref
 
     def test_sinc_constant_quadrature(self):
         pair = builtin_pair("sinc_cosine")
