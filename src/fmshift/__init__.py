@@ -13,7 +13,6 @@ from .engine import (
     ModeSet,
     Trajectory,
     ascend,
-    blurring_pass,
     cluster,
 )
 from .experiments import (
@@ -33,7 +32,6 @@ from .function_space import (
     distance,
     estimate_derivative,
     inner_product,
-    linear_combination,
     norm,
 )
 from .inference import (
@@ -65,7 +63,7 @@ from .kernels import (
     shadow_of,
     validate_pair,
 )
-from .reports import ModeTestTable, RunReport, ScanTable, parse_report
+from .reports import ModeTestTable, RunReport, parse_report
 from .surrogate import (
     DensityModel,
     NormalizerError,
@@ -77,13 +75,13 @@ __all__ = [
     "__version__",
     "Grid", "Curve", "FunctionalSample", "DerivativeMethod", "DistanceSpec",
     "GridMismatchError", "inner_product", "distance", "norm",
-    "estimate_derivative", "linear_combination",
+    "estimate_derivative",
     "Profile", "KernelPair", "PairValidation", "ShadowRelationError",
     "builtin_pair", "shadow_of", "validate_pair", "BUILTIN_PAIR_NAMES",
     "DensityModel", "NormalizerError", "OutsideSupportError",
     "SingularEvaluationError",
     "MeanShiftConfig", "Trajectory", "ModeSet", "OUTSIDE_SUPPORT",
-    "ascend", "cluster", "blurring_pass",
+    "ascend", "cluster",
     "ScanSpec", "ScanResult", "scan",
     "TestConfig", "ModeRecord", "ModeTestReport", "bootstrap_ci", "test_modes",
     "GeneratorSpec", "BaselineResult", "generate", "fpca_kmeans",
@@ -91,5 +89,5 @@ __all__ = [
     "InputFormatError", "DegenerateFeatureError", "SignatureRecord",
     "read_curves_csv", "write_curves_csv", "read_signature", "write_signature",
     "read_signature_dir", "tangential_acceleration", "file_digest",
-    "RunReport", "ScanTable", "ModeTestTable", "parse_report",
+    "RunReport", "ModeTestTable", "parse_report",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import MeanShiftConfig, cluster
-from .function_space import DistanceSpec, FunctionalSample
+from .function_space import DistanceSpec, FunctionalSample, Metric
 from .kernels import KernelPair
 from .surrogate import DensityModel
 
@@ -66,9 +66,9 @@ def _find_plateaus(counts: np.ndarray, min_len: int):
     return plateaus
 
 
-def _rounding_level(model: DensityModel) -> float:
-    """The largest distance between the model's curves that is zero up to
-    rounding.
+def _rounding_level(metric: Metric, F: np.ndarray, V: np.ndarray) -> float:
+    """The largest distance between the curves of the value rows V, with
+    component rows F under the metric, that is zero up to rounding.
 
     Two kinds of rounding bound it. The Gram-form distances lose up to about
     5e-8 of the largest component norm (1e-6 leaves a margin). A derivative
@@ -79,26 +79,30 @@ def _rounding_level(model: DensityModel) -> float:
     norm times the operator norms; 1e-12 of it is also above the worst-case
     rounding bound, grid length times eps, for grids of up to 4000 points.
     """
-    m = model.metric
-    F = model._F
-    norm = float(np.sqrt(np.einsum("ij,ij->i", F * m.w, F).max()))
-    value_norm = float(np.sqrt(np.einsum("ij,ij->i", model._V * model.grid.quad_weights,
-                                         model._V).max()))
-    operator_norm = sum(float(np.linalg.norm(D)) for D in m.operators if D is not None)
+    norm = float(np.sqrt(np.einsum("ij,ij->i", F * metric.w, F).max()))
+    quad_weights = metric.w[:V.shape[1]]  # the trapezoid weights, w's first block
+    value_norm = float(np.sqrt(np.einsum("ij,ij->i", V * quad_weights, V).max()))
+    operator_norm = sum(float(np.linalg.norm(D)) for D in metric.operators
+                        if D is not None)
     return max(1e-6 * norm, 1e-12 * value_norm * operator_norm)
 
 
-def _max_distance(sample: FunctionalSample, pair: KernelPair,
-                  distance: DistanceSpec) -> float:
+def _pairwise(sample: FunctionalSample, distance: DistanceSpec):
+    """The pairwise distances of the sample and their rounding level."""
+    metric = Metric(sample.grid, distance)
+    F = metric.components(sample.matrix)
+    return metric.pairwise(F), _rounding_level(metric, F, sample.matrix)
+
+
+def _max_distance(sample: FunctionalSample, distance: DistanceSpec) -> float:
     """The largest pairwise distance, the unit of a relative bandwidth.
 
     Raises ValueError when it is zero up to rounding (``_rounding_level``):
     the curves are then identical under the distance and no relative
     bandwidth exists.
     """
-    ref = DensityModel(sample, pair, distance, bandwidth=1.0, normalized=False)
-    dmax = ref.max_pairwise_distance
-    level = _rounding_level(ref)
+    D, level = _pairwise(sample, distance)
+    dmax = float(D.max())
     if dmax <= level:
         raise ValueError(
             f"the curves are identical under the {distance.kind} distance "
@@ -108,14 +112,14 @@ def _max_distance(sample: FunctionalSample, pair: KernelPair,
     return dmax
 
 
-def _percentile_distance(sample: FunctionalSample, pair: KernelPair,
-                         distance: DistanceSpec, q: float) -> float:
+def _percentile_distance(sample: FunctionalSample, distance: DistanceSpec,
+                         q: float) -> float:
     """The q-th percentile of the pairwise distances i != j, a bandwidth for
     the mode test; ValueError when it is zero up to rounding."""
-    ref = DensityModel(sample, pair, distance, bandwidth=1.0, normalized=False)
+    D, level = _pairwise(sample, distance)
     off = ~np.eye(len(sample), dtype=bool)
-    h = float(np.percentile(ref.pairwise_distances[off], q))
-    if h <= _rounding_level(ref):
+    h = float(np.percentile(D[off], q))
+    if h <= level:
         raise ValueError(
             f"percentile {q:g} of the first half's pairwise "
             f"{distance.kind} distances is zero up to rounding ({h:.3g}); "
@@ -135,7 +139,7 @@ def scan(sample: FunctionalSample, pair: KernelPair,
     cfg = cfg or MeanShiftConfig()
     distance = distance or DistanceSpec()
 
-    dmax = _max_distance(sample, pair, distance)
+    dmax = _max_distance(sample, distance)
     hs = np.linspace(spec.lo_frac, spec.hi_frac, spec.n_values) * dmax
 
     nonatomic = np.empty(spec.n_values, dtype=int)

@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .bandwidth import ScanSpec, _max_distance, _percentile_distance, scan
 from .engine import OUTSIDE_SUPPORT, MeanShiftConfig, cluster
-from .experiments import GeneratorSpec, fpca_kmeans, generate
+from .experiments import GENERATOR_KINDS, GeneratorSpec, fpca_kmeans, generate
 from .function_space import DerivativeMethod, DistanceSpec, FunctionalSample, Grid
-from .inference import TestConfig, test_modes
+from .inference import STATISTICS, TestConfig, test_modes
 from .io import (
     DegenerateFeatureError,
     InputFormatError,
@@ -41,6 +41,10 @@ from .surrogate import (DensityModel, NormalizerError, OutsideSupportError,
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+#: The options of ``_add_input_args`` that only ``--signatures`` reads.
+_SIGNATURE_FLAGS = ("sig_grid_points", "smooth_method", "smooth_degree",
+                    "smooth_bandwidth")
 
 
 def _write_atomic(path: str | None, text: str) -> None:
@@ -68,11 +72,11 @@ def _add_input_args(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="curves CSV file")
     src.add_argument("--signatures", help="directory of SVC-style signature files")
-    p.add_argument("--sig-grid-points", type=int, default=128,
+    p.add_argument("--sig-grid-points", type=int, default=None,
                    help="target grid size for signature resampling")
     p.add_argument("--smooth-method", choices=["finite_difference", "local_poly"],
-                   default="local_poly")
-    p.add_argument("--smooth-degree", type=int, default=2)
+                   default=None)
+    p.add_argument("--smooth-degree", type=int, default=None)
     p.add_argument("--smooth-bandwidth", type=float, default=None,
                    help="local polynomial smoothing bandwidth in normalized time "
                         "(default 0.05 for local_poly)")
@@ -117,14 +121,26 @@ def _distance_spec(args) -> DistanceSpec:
 
 
 def _load_sample(args):
-    """Returns (sample, input digests dict)."""
+    """Returns (sample, input digests dict).
+
+    The signature flags apply to ``--signatures`` only; given with
+    ``--input`` they are an input error.
+    """
     if args.input:
+        given = [f"--{name.replace('_', '-')}" for name in _SIGNATURE_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"only --signatures takes {', '.join(given)}, "
+                             "not --input")
         return read_curves_csv(args.input), {"input": file_digest(args.input)}
-    grid = Grid(np.linspace(0.0, 1.0, args.sig_grid_points))
+    points = 128 if args.sig_grid_points is None else args.sig_grid_points
+    kind = "local_poly" if args.smooth_method is None else args.smooth_method
+    degree = 2 if args.smooth_degree is None else args.smooth_degree
+    grid = Grid(np.linspace(0.0, 1.0, points))
     bandwidth = args.smooth_bandwidth
-    if bandwidth is None and args.smooth_method == "local_poly":
+    if bandwidth is None and kind == "local_poly":
         bandwidth = 0.05
-    method = DerivativeMethod(args.smooth_method, args.smooth_degree, bandwidth)
+    method = DerivativeMethod(kind, degree, bandwidth)
     entries = read_signature_dir(args.signatures)
     curves, labels, digests = [], [], {}
     for name, record in entries:
@@ -149,10 +165,10 @@ def _engine_cfg(args) -> MeanShiftConfig:
                            seed=args.seed)
 
 
-def _absolute_bandwidth(args, sample, pair, spec) -> float:
+def _absolute_bandwidth(args, sample, spec) -> float:
     if args.bandwidth is not None:
         return args.bandwidth
-    return args.bandwidth_frac * _max_distance(sample, pair, spec)
+    return args.bandwidth_frac * _max_distance(sample, spec)
 
 
 def _provenance(args, digests) -> dict:
@@ -200,7 +216,7 @@ def _cmd_cluster(args) -> int:
     sample, digests = _load_sample(args)
     spec = _distance_spec(args)
     pair = builtin_pair(args.kernel)
-    h = _absolute_bandwidth(args, sample, pair, spec)
+    h = _absolute_bandwidth(args, sample, spec)
     model = DensityModel(sample, pair, spec, bandwidth=h, normalized=False)
     modes = cluster(model, _engine_cfg(args))
     report = _mode_report(args, sample, modes, digests,
@@ -237,10 +253,10 @@ def _cmd_test_modes(args) -> int:
     pair = builtin_pair(args.kernel)
 
     if args.bandwidth_percentile is not None:
-        bandwidth = partial(_percentile_distance, pair=pair, distance=spec,
+        bandwidth = partial(_percentile_distance, distance=spec,
                             q=args.bandwidth_percentile)
     else:
-        bandwidth = _absolute_bandwidth(args, sample, pair, spec)
+        bandwidth = _absolute_bandwidth(args, sample, spec)
 
     t_cfg = TestConfig(alpha=args.alpha, n_boot=args.boot,
                        statistic=args.statistic, split_rule=args.split)
@@ -327,16 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--boot", type=int, default=1000)
-    p.add_argument("--statistic", choices=["lambda_eigen", "lambda_paper"],
-                   default="lambda_eigen")
+    p.add_argument("--statistic", choices=STATISTICS, default="lambda_eigen")
     p.add_argument("--split", choices=["first_half", "random"],
                    default="first_half")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_test_modes)
 
     p = sub.add_parser("simulate", help="generate a synthetic labeled sample")
-    p.add_argument("kind", choices=["signal_clutter", "elliptical_sincos",
-                                    "circular_sincos"])
+    p.add_argument("kind", choices=GENERATOR_KINDS)
     p.add_argument("--n", type=int, default=150)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-points", type=int, default=64)

@@ -1,4 +1,4 @@
-"""Mean-shift iteration, mode merging, cluster assignment and blurring.
+"""Mean-shift iteration, mode merging and cluster assignment.
 
 A trajectory repeatedly applies x <- x + m(x) until the shift is smaller than
 the step tolerance. Terminal points are merged by single linkage at a radius
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .function_space import Curve, FunctionalSample
+from .function_space import Curve
 from .surrogate import DensityModel, OutsideSupportError
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "OUTSIDE_SUPPORT",
     "ascend",
     "cluster",
-    "blurring_pass",
 ]
 
 #: Destination marker for starts beyond every support ball.
@@ -211,19 +210,3 @@ def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
 
     return ModeSet(tuple(modes), tuple(assignments), tuple(atomic),
                    tuple(stability), tuple(trajectories))
-
-
-def blurring_pass(model: DensityModel) -> FunctionalSample:
-    """One synchronous mean-shift update of every sample curve.
-
-    Each curve moves to the k-weighted mean of the sample around it; a curve
-    with no sample curve within reach, itself included, stays where it is.
-    The model's stored sample is left untouched; repeated passes require
-    building a new model from the returned sample.
-    """
-    W = model._ms_weights(model.pairwise_distances)  # column j moves curve j
-    tot = W.sum(axis=0)
-    moved = tot > 0.0
-    out = model._V.copy()
-    out[moved] = (W[:, moved].T @ model._V) / tot[moved, None]
-    return FunctionalSample._take(model.grid, out, model.sample.labels)

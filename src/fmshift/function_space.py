@@ -27,7 +27,6 @@ __all__ = [
     "norm",
     "Metric",
     "estimate_derivative",
-    "linear_combination",
 ]
 
 
@@ -162,11 +161,7 @@ class FunctionalSample:
     @classmethod
     def from_matrix(cls, grid: Grid, values: np.ndarray, labels=None) -> "FunctionalSample":
         """A sample of the rows of a copy of the n x L array ``values``."""
-        return cls._take(grid, np.array(values, dtype=float, order="C"), labels)
-
-    @classmethod
-    def _take(cls, grid: Grid, values: np.ndarray, labels=None) -> "FunctionalSample":
-        """A sample that takes over the float array ``values`` once checked."""
+        values = np.array(values, dtype=float, order="C")
         if values.ndim != 2 or values.shape[1] != len(grid):
             raise ValueError(f"sample matrix must have shape (n, {len(grid)}) "
                              f"for the grid, got {values.shape}")
@@ -440,19 +435,3 @@ def distance(a: Curve, b: Curve, spec: DistanceSpec | None = None) -> float:
     """
     _check_same_grid(a, b)
     return Metric(a.grid, spec).distance(a.values, b.values)
-
-
-def linear_combination(coeffs: Sequence[float], curves: Sequence[Curve]) -> Curve:
-    """Pointwise weighted sum of curves on a shared grid."""
-    if len(coeffs) != len(curves):
-        raise ValueError("need one coefficient per curve")
-    if not curves:
-        raise ValueError("need at least one curve")
-    grid = curves[0].grid
-    for c in curves[1:]:
-        if c.grid != grid:
-            raise GridMismatchError("curves are on different grids")
-    vals = np.zeros(len(grid))
-    for c, curve in zip(coeffs, curves):
-        vals += float(c) * curve.values
-    return Curve(grid, vals)

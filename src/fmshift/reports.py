@@ -2,30 +2,20 @@
 
 A report is a single structured text document. Serializing and re-parsing is
 lossless: floats are written in shortest exact round-trip form and the parser
-knows the schema of every section.
+knows the schema of every section written; it skips sections it does not know.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RunReport", "ScanTable", "ModeTestTable", "parse_report"]
+__all__ = ["RunReport", "ModeTestTable", "parse_report"]
 
 HEADER = "# fmshift run report v1"
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-@dataclass(frozen=True)
-class ScanTable:
-    bandwidths: tuple
-    nonatomic_counts: tuple
-    clustered_counts: tuple
-    plateaus: tuple  # (start, end) index pairs
-    candidates: tuple
-    max_distance: float
 
 
 @dataclass(frozen=True)
@@ -51,7 +41,6 @@ class RunReport:
     assignments: tuple
     atomic_flags: tuple
     stability_flags: tuple
-    scan: ScanTable | None = None
     mode_test: ModeTestTable | None = None
 
     # -- serialization ------------------------------------------------------
@@ -88,17 +77,6 @@ class RunReport:
         for j, (a, s) in enumerate(zip(self.atomic_flags, self.stability_flags)):
             out.append(f"{j},{int(a)},{int(s)}")
         out.append("")
-
-        if self.scan is not None:
-            out.append("[scan]")
-            out.append(f"max_distance = {_fmt(self.scan.max_distance)}")
-            out.append("plateaus = " + ";".join(f"{a}:{b}" for a, b in self.scan.plateaus))
-            out.append("candidates = " + ";".join(_fmt(c) for c in self.scan.candidates))
-            out.append("bandwidth,nonatomic,clustered")
-            for h, na, cc in zip(self.scan.bandwidths, self.scan.nonatomic_counts,
-                                 self.scan.clustered_counts):
-                out.append(f"{_fmt(h)},{na},{cc}")
-            out.append("")
 
         if self.mode_test is not None:
             mt = self.mode_test
@@ -159,24 +137,6 @@ def parse_report(text: str) -> RunReport:
     atomic = tuple(bool(int(f[1])) for f in flags)
     stable = tuple(bool(int(f[2])) for f in flags)
 
-    scan = None
-    if "scan" in sec:
-        kv_lines = [ln for ln in sec["scan"] if " = " in ln]
-        table = [ln for ln in sec["scan"] if " = " not in ln][1:]
-        kv = _parse_kv(kv_lines)
-        plateaus = tuple(tuple(int(v) for v in p.split(":"))
-                         for p in kv["plateaus"].split(";") if p)
-        candidates = tuple(float(c) for c in kv["candidates"].split(";") if c)
-        rows = [ln.split(",") for ln in table]
-        scan = ScanTable(
-            bandwidths=tuple(float(r[0]) for r in rows),
-            nonatomic_counts=tuple(int(r[1]) for r in rows),
-            clustered_counts=tuple(int(r[2]) for r in rows),
-            plateaus=plateaus,
-            candidates=candidates,
-            max_distance=float(kv["max_distance"]),
-        )
-
     mode_test = None
     if "mode_test" in sec:
         kv_lines = [ln for ln in sec["mode_test"] if " = " in ln]
@@ -197,4 +157,4 @@ def parse_report(text: str) -> RunReport:
                      provenance=_parse_kv(sec.get("provenance", [])),
                      grid=grid, modes=modes, assignments=assignments,
                      atomic_flags=atomic, stability_flags=stable,
-                     scan=scan, mode_test=mode_test)
+                     mode_test=mode_test)

@@ -199,12 +199,8 @@ class DensityModel:
     # -- density estimates --------------------------------------------------
 
     def _ms_weights(self, d: np.ndarray) -> np.ndarray:
-        """Mean-shift weights k(d/h)/h^2, with h(X_i) along the first axis.
-
-        ``d`` is a vector of distances d(X_i, x) or the n x n sample matrix.
-        """
-        if d.ndim == 2:
-            return self.pair.k(d / self._h[:, None]) / self._h2[:, None]
+        """Mean-shift weights k(d/h)/h^2 of the distances d = d(X_i, x) to
+        one query."""
         return self.pair.k(d / self._h) / self._h2
 
     def _profile_sum(self, profile, x: Curve, w: float) -> float:

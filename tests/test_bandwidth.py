@@ -176,7 +176,7 @@ class TestRoundingLevel:
         operator_norm = sum(float(np.linalg.norm(D)) for D in m.operators
                             if D is not None)
         want = max(1e-6 * norm, 1e-12 * value_norm * operator_norm)
-        assert _rounding_level(model) == pytest.approx(want, rel=1e-14)
+        assert _rounding_level(m, F, V) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("spec", ROUNDING_SPECS,
                              ids=["l2", "sobolev_h1", "derivative_l2_local_poly"])
@@ -185,7 +185,7 @@ class TestRoundingLevel:
         same = FunctionalSample.from_matrix(GRID, np.tile(base, (4, 1)))
         with pytest.raises(ValueError, match=f"identical under the {spec.kind} "
                                              "distance"):
-            _max_distance(same, builtin_pair("gaussian_gaussian"), spec)
+            _max_distance(same, spec)
 
 
 class TestPercentileDistance:
@@ -198,7 +198,7 @@ class TestPercentileDistance:
         D = DensityModel(sample, pair, spec, normalized=False).pairwise_distances
         off = D[~np.eye(12, dtype=bool)]
         for q in (0.0, 41.0, 100.0):
-            assert _percentile_distance(sample, pair, spec, q) \
+            assert _percentile_distance(sample, spec, q) \
                 == float(np.percentile(off, q))
 
     @pytest.mark.parametrize("spec", ROUNDING_SPECS,
@@ -211,4 +211,4 @@ class TestPercentileDistance:
         with pytest.raises(ValueError, match="percentile 41 of the first half's "
                                              f"pairwise {spec.kind} distances is "
                                              "zero up to rounding"):
-            _percentile_distance(sample, builtin_pair("gaussian_gaussian"), spec, 41)
+            _percentile_distance(sample, spec, 41)

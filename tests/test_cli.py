@@ -383,6 +383,39 @@ class TestBaseline:
         assert clusters == {"0", "1"}
 
 
+SIGNATURE_ONLY_FLAGS = [("--sig-grid-points", 7),
+                        ("--smooth-method", "finite_difference"),
+                        ("--smooth-degree", 9),
+                        ("--smooth-bandwidth", 0.3)]
+
+
+class TestSignatureFlagsOnInput:
+    # a curves CSV is read as it is: no resampling grid and no smoothing
+    def run_on_csv(self, command, curves_csv, out, *flags):
+        bandwidth = ["--bandwidth-frac", 0.3] if command == "cluster" else []
+        return run([command, "--input", curves_csv, *bandwidth, *flags,
+                    "--out", out])
+
+    @pytest.mark.parametrize("command", ["cluster", "baseline"])
+    @pytest.mark.parametrize("flag, value", SIGNATURE_ONLY_FLAGS,
+                             ids=[f for f, _ in SIGNATURE_ONLY_FLAGS])
+    def test_is_exit_2_and_named(self, command, flag, value, curves_csv,
+                                 tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        assert self.run_on_csv(command, curves_csv, out, flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"category=input: only --signatures takes {flag}, not --input" in err
+        assert not out.exists()
+
+    def test_every_flag_given_is_named(self, curves_csv, tmp_path, capsys):
+        flags = [str(a) for pair in SIGNATURE_ONLY_FLAGS for a in pair]
+        assert self.run_on_csv("scan", curves_csv, tmp_path / "out.csv",
+                               *flags) == 2
+        names = ", ".join(f for f, _ in SIGNATURE_ONLY_FLAGS)
+        assert f"only --signatures takes {names}, not --input" \
+            in capsys.readouterr().err
+
+
 class TestSignaturePipeline:
     def test_cluster_from_signature_dir(self, tmp_path):
         sigdir = tmp_path / "sigs"

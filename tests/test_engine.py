@@ -1,4 +1,4 @@
-"""Mean-shift iteration, merging, outlier flagging and blurring."""
+"""Mean-shift iteration, merging and outlier flagging."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from fmshift import (
-    BUILTIN_PAIR_NAMES,
     OUTSIDE_SUPPORT,
     Curve,
     DensityModel,
@@ -16,9 +15,7 @@ from fmshift import (
     FunctionalSample,
     Grid,
     MeanShiftConfig,
-    OutsideSupportError,
     ascend,
-    blurring_pass,
     builtin_pair,
     cluster,
 )
@@ -445,79 +442,3 @@ class TestModeStationarity:
                 slope = (model.density_g(mode + y) - model.density_g(mode - y)) / (2 * alpha)
                 assert abs(slope) * dmax / p <= 1e-4
 
-
-class TestBlurring:
-    def test_pass_contracts_blob(self):
-        sample = gaussian_blob_sample(seed=8, centers=(0.0,), sd=0.5)
-        model = DensityModel(sample, builtin_pair("gaussian_gaussian"),
-                             bandwidth=3.0, normalized=False)
-        blurred = blurring_pass(model)
-        before = np.var(sample.matrix, axis=0).mean()
-        after = np.var(blurred.matrix, axis=0).mean()
-        assert after < before
-
-    def test_does_not_mutate_model(self):
-        sample = gaussian_blob_sample(seed=8)
-        model = DensityModel(sample, builtin_pair("gaussian_gaussian"),
-                             bandwidth=2.0, normalized=False)
-        snapshot = sample.matrix.copy()
-        blurring_pass(model)
-        assert np.array_equal(model.sample.matrix, snapshot)
-
-    def test_output_is_a_read_only_matrix_of_its_own(self):
-        sample = gaussian_blob_sample(seed=2)
-        model = DensityModel(sample, builtin_pair("gaussian_gaussian"),
-                             bandwidth=2.0, normalized=False)
-        out = blurring_pass(model).matrix
-        assert out.shape == sample.matrix.shape and not out.flags.writeable
-        assert not np.shares_memory(out, sample.matrix)
-
-    def test_keeps_labels(self):
-        sample = gaussian_blob_sample(seed=1)
-        model = DensityModel(sample, builtin_pair("gaussian_gaussian"),
-                             bandwidth=2.0, normalized=False)
-        assert blurring_pass(model).labels == sample.labels
-
-
-def per_curve_blurring(model):
-    """Oracle: each sample curve moved by its own mean-shift vector, or left
-    where it is when it lies outside every support ball. Returns the moved
-    matrix and the indices of the curves left in place."""
-    rows, outside = [], []
-    for i, c in enumerate(model.sample.curves):
-        try:
-            rows.append((c + model.mean_shift_vector(c)).values)
-        except OutsideSupportError:
-            rows.append(c.values)
-            outside.append(i)
-    return np.array(rows), outside
-
-
-class TestBlurringOracle:
-    SPECS = [DistanceSpec(), DistanceSpec("sobolev_h1"),
-             DistanceSpec("derivative_l2", 2)]
-
-    @pytest.mark.parametrize("name", BUILTIN_PAIR_NAMES)
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
-    @pytest.mark.parametrize("rule", ["fixed", "per_datum", "tiny"])
-    def test_matches_the_per_curve_update(self, name, spec, rule):
-        sample = gaussian_blob_sample(seed=3, centers=(0.0, 2.0), sd=0.3)
-        pair = builtin_pair(name)
-        dmax = DensityModel(sample, pair, spec, bandwidth=1.0,
-                            normalized=False).max_pairwise_distance
-        rng = np.random.default_rng(4)
-        bandwidth = {"fixed": 0.3 * dmax,
-                     "per_datum": dmax * rng.uniform(0.1, 0.5, len(sample)),
-                     "tiny": 1e-12}[rule]
-        model = DensityModel(sample, pair, spec, bandwidth=bandwidth,
-                             normalized=False)
-        want, outside = per_curve_blurring(model)
-        got = blurring_pass(model).matrix
-        scale = np.abs(want).max()
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
-        assert not outside
-        if rule == "tiny":
-            # every curve is at distance exactly 0 from itself and beyond
-            # reach of all others, so it sees only its own weight and stays
-            V = sample.matrix
-            assert np.allclose(got, V, rtol=1e-13, atol=1e-13 * np.abs(V).max())

@@ -17,7 +17,6 @@ from fmshift import (
     distance,
     estimate_derivative,
     inner_product,
-    linear_combination,
     norm,
 )
 
@@ -344,10 +343,3 @@ class TestSample:
         built = FunctionalSample(g, given)
         assert built.curves[0] is given[0]
         assert np.array_equal(built.matrix, [np.ones(5), np.zeros(5)])
-
-    def test_linear_combination(self):
-        g = make_grid(11)
-        a = Curve(g, np.ones(11))
-        b = Curve(g, g.points)
-        combo = linear_combination([2.0, -1.0], [a, b])
-        assert np.allclose(combo.values, 2.0 - g.points)

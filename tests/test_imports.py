@@ -1,15 +1,20 @@
-"""Which paths load scipy: clustering and the scan never do.
+"""What the package exports and what its import paths load.
 
-Each check runs in a fresh interpreter, since the test process itself has
-scipy loaded.
+Every exported name resolves to a module's public name. Clustering and the
+scan never load scipy, and ``fmshift.cli`` loads nothing beyond the standard
+library but numpy. Each load check runs in a fresh interpreter, since the
+test process itself has scipy loaded.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import fmshift
 from fmshift import ScanSpec, builtin_pair, read_curves_csv, scan
 from fmshift.cli import main
 
@@ -45,6 +50,37 @@ def python(code: str, *args) -> str:
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# every module but the command line declares its public names
+MODULES = [importlib.import_module(f"fmshift.{info.name}")
+           for info in pkgutil.iter_modules(fmshift.__path__)
+           if info.name != "cli"]
+
+
+def test_every_public_name_resolves():
+    for module in [fmshift, *MODULES]:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_package_export_is_public_in_its_module():
+    public = {name for module in MODULES for name in module.__all__}
+    exports = set(fmshift.__all__) - {"__version__"}
+    assert exports - public == set()
+
+
+def test_cli_loads_only_numpy_beyond_the_standard_library():
+    # site may load modules of its own before any import: count only the
+    # modules that importing the CLI adds
+    out = python("""
+import sys
+before = set(sys.modules)
+import fmshift.cli
+added = {m.split(".")[0] for m in set(sys.modules) - before}
+print(sorted(added - set(sys.stdlib_module_names)))
+""")
+    assert out.strip() == "['fmshift', 'numpy']"
 
 
 def test_cli_cluster_and_scan_run_with_scipy_blocked(tmp_path):

@@ -3,18 +3,10 @@
 import numpy as np
 import pytest
 
-from fmshift import ModeTestTable, RunReport, ScanTable, parse_report
+from fmshift import ModeTestTable, RunReport, parse_report
 
 
-def sample_report(with_scan=True, with_test=True):
-    scan = ScanTable(
-        bandwidths=(0.1, 0.2, 0.30000000000000004),
-        nonatomic_counts=(5, 3, 3),
-        clustered_counts=(40, 44, 44),
-        plateaus=((1, 2),),
-        candidates=(0.25,),
-        max_distance=1.7320508075688772,
-    ) if with_scan else None
+def sample_report(with_test=True):
     mode_test = ModeTestTable(
         alpha=0.05,
         n_boot=1000,
@@ -29,21 +21,18 @@ def sample_report(with_scan=True, with_test=True):
         provenance={"seed": "7", "version": "0.1.0",
                     "input": "sha256:" + "ab" * 32},
         grid=(0.0, 0.5, 1.0),
-        modes=((1.0, 2.0, 3.0), (0.1, -0.2, 0.3333333333333333)),
+        modes=((1.0, 1.7320508075688772, 3.0), (0.1, -0.2, 0.3333333333333333)),
         assignments=(0, 0, 1, -1, 1),
         atomic_flags=(False, False),
         stability_flags=(True, False),
-        scan=scan,
         mode_test=mode_test,
     )
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("with_scan,with_test",
-                             [(True, True), (True, False),
-                              (False, True), (False, False)])
-    def test_lossless(self, with_scan, with_test):
-        rep = sample_report(with_scan, with_test)
+    @pytest.mark.parametrize("with_test", [True, False])
+    def test_lossless(self, with_test):
+        rep = sample_report(with_test)
         back = parse_report(rep.to_text())
         assert back == rep
 
@@ -56,7 +45,7 @@ class TestRoundTrip:
     def test_float_precision_survives(self):
         rep = sample_report()
         back = parse_report(rep.to_text())
-        assert back.scan.max_distance == np.sqrt(3.0)
+        assert back.modes[0][1] == np.sqrt(3.0)
         assert back.modes[1][2] == 1.0 / 3.0
 
     def test_outside_support_assignment(self):
@@ -78,6 +67,29 @@ class TestParsing:
         lines = text.splitlines()
         lines.insert(3, "# a stray comment")
         assert parse_report("\n".join(lines)) == sample_report()
+
+
+# a [scan] section as v1 reports carried it, which the parser now skips
+SCAN_SECTION = """[scan]
+max_distance = 1.7320508075688772
+plateaus = 1:2
+candidates = 0.25
+bandwidth,nonatomic,clustered
+0.1,5,40
+0.2,3,44
+0.30000000000000004,3,44
+
+"""
+
+
+class TestUnknownSections:
+    def test_a_scan_section_is_skipped(self):
+        text = sample_report().to_text()
+        with_scan = text.replace("[mode_test]", SCAN_SECTION + "[mode_test]")
+        assert with_scan.count("[scan]") == 1
+        back = parse_report(with_scan)
+        assert back == parse_report(text)
+        assert "[scan]" not in back.to_text()
 
 
 class TestKeys:
