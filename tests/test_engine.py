@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from fmshift import (
+    BUILTIN_PAIR_NAMES,
     OUTSIDE_SUPPORT,
     Curve,
     DensityModel,
@@ -442,3 +443,41 @@ class TestModeStationarity:
                 slope = (model.density_g(mode + y) - model.density_g(mode - y)) / (2 * alpha)
                 assert abs(slope) * dmax / p <= 1e-4
 
+
+
+class TestFirstStepOracle:
+    """One update from every sample curve, the first step of each start of
+    ``cluster``, against ``reference_ascend`` cut to a single step."""
+
+    SPECS = [DistanceSpec(), DistanceSpec("sobolev_h1"),
+             DistanceSpec("derivative_l2", 2)]
+
+    @pytest.mark.parametrize("name", BUILTIN_PAIR_NAMES)
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("rule", ["fixed", "per_datum", "tiny"])
+    def test_matches_the_per_curve_update(self, name, spec, rule):
+        sample = gaussian_blob_sample(seed=3, centers=(0.0, 2.0), sd=0.3)
+        pair = builtin_pair(name)
+        dmax = DensityModel(sample, pair, spec, bandwidth=1.0,
+                            normalized=False).max_pairwise_distance
+        rng = np.random.default_rng(4)
+        bandwidth = {"fixed": 0.3 * dmax,
+                     "per_datum": dmax * rng.uniform(0.1, 0.5, len(sample)),
+                     "tiny": 1e-12}[rule]
+        model = DensityModel(sample, pair, spec, bandwidth=bandwidth,
+                             normalized=False)
+        cfg = MeanShiftConfig(max_iters=1).resolved(model)
+        runs = [reference_ascend(model, x0, cfg) for x0 in sample.curves]
+        assert all(r is not None for r in runs)
+        want = np.array([r[-1].values for r in runs])
+        trajectories = [ascend(model, x0, cfg) for x0 in sample.curves]
+        assert all(tr.destination != OUTSIDE_SUPPORT for tr in trajectories)
+        assert all(len(tr.iterates) == 2 for tr in trajectories)
+        got = np.array([tr.terminal.values for tr in trajectories])
+        scale = np.abs(want).max()
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+        if rule == "tiny":
+            # every curve is at distance exactly 0 from itself and beyond
+            # reach of all others, so it sees only its own weight and stays
+            V = sample.matrix
+            assert np.allclose(got, V, rtol=1e-13, atol=1e-13 * np.abs(V).max())
