@@ -64,12 +64,7 @@ from .kernels import (
     validate_pair,
 )
 from .reports import ModeTestTable, RunReport, parse_report
-from .surrogate import (
-    DensityModel,
-    NormalizerError,
-    OutsideSupportError,
-    SingularEvaluationError,
-)
+from .surrogate import DensityModel, NormalizerError, OutsideSupportError
 
 __all__ = [
     "__version__",
@@ -79,7 +74,6 @@ __all__ = [
     "Profile", "KernelPair", "PairValidation", "ShadowRelationError",
     "builtin_pair", "shadow_of", "validate_pair", "BUILTIN_PAIR_NAMES",
     "DensityModel", "NormalizerError", "OutsideSupportError",
-    "SingularEvaluationError",
     "MeanShiftConfig", "Trajectory", "ModeSet", "OUTSIDE_SUPPORT",
     "ascend", "cluster",
     "ScanSpec", "ScanResult", "scan",

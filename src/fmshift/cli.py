@@ -35,8 +35,7 @@ from .io import (
 )
 from .kernels import BUILTIN_PAIR_NAMES, builtin_pair
 from .reports import ModeTestTable, RunReport
-from .surrogate import (DensityModel, NormalizerError, OutsideSupportError,
-                        SingularEvaluationError)
+from .surrogate import DensityModel, NormalizerError, OutsideSupportError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -375,9 +374,8 @@ def main(argv=None) -> int:
     except (InputFormatError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: category=input: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NormalizerError, OutsideSupportError, SingularEvaluationError,
-            DegenerateFeatureError, FloatingPointError, np.linalg.LinAlgError,
-            RuntimeError) as exc:
+    except (NormalizerError, OutsideSupportError, DegenerateFeatureError,
+            FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"error: category=numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -64,16 +64,13 @@ class Profile:
     ``fn`` evaluates the profile on [0, 1]; outside the support the profile is
     zero. ``dfn``/``d2fn`` are analytic derivatives on (0, 1) when available
     (central differences are used as a fallback). The three are called only
-    on [0, 1], so they need not be finite beyond the support. ``curvature0``
-    is the finite limit of k'(t)/t as t -> 0+, needed to evaluate curvature
-    statistics at zero distance.
+    on [0, 1], so they need not be finite beyond the support.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     dfn: Callable[[np.ndarray], np.ndarray] | None = None
     d2fn: Callable[[np.ndarray], np.ndarray] | None = None
-    curvature0: float | None = None
 
     def __call__(self, t):
         return _on_support(t, self.fn)
@@ -88,13 +85,6 @@ class Profile:
         if self.d2fn is not None:
             return _on_support(t, self.d2fn)
         return _on_support(t, partial(_central, self.deriv, eps=1e-4))
-
-    def curvature_limit(self) -> float:
-        """lim k'(t)/t as t -> 0+, estimated numerically if not analytic."""
-        if self.curvature0 is not None:
-            return self.curvature0
-        t = 1e-3
-        return float(self.deriv(t) / t)
 
 
 @dataclass(frozen=True)
@@ -139,7 +129,6 @@ def _gaussian_profile(name, scale=1.0):
         fn=lambda t, s=scale: s * np.exp(-0.5 * t**2),
         dfn=lambda t, s=scale: -s * t * np.exp(-0.5 * t**2),
         d2fn=lambda t, s=scale: s * (t**2 - 1.0) * np.exp(-0.5 * t**2),
-        curvature0=-scale,
     )
 
 
@@ -169,20 +158,19 @@ def _make_builtin(name: str) -> KernelPair:
         C = 2.0
         k = Profile("uniform", fn=lambda t: np.ones_like(t),
                     dfn=lambda t: np.zeros_like(t),
-                    d2fn=lambda t: np.zeros_like(t), curvature0=0.0)
+                    d2fn=lambda t: np.zeros_like(t))
     elif name == "epanechnikov_biweight":
         g = _poly_shadow("biweight", 2)
         C = 8.0 / 3.0
         k = Profile("epanechnikov", fn=lambda t: 1.5 * (1.0 - t**2),
                     dfn=lambda t: -3.0 * t,
-                    d2fn=lambda t: np.full_like(t, -3.0), curvature0=-3.0)
+                    d2fn=lambda t: np.full_like(t, -3.0))
     elif name == "biweight_triweight":
         g = _poly_shadow("triweight", 3)
         C = 16.0 / 5.0
         k = Profile("biweight", fn=lambda t: 1.875 * (1.0 - t**2) ** 2,
                     dfn=lambda t: -7.5 * t * (1.0 - t**2),
-                    d2fn=lambda t: -7.5 * (1.0 - 3.0 * t**2),
-                    curvature0=-7.5)
+                    d2fn=lambda t: -7.5 * (1.0 - 3.0 * t**2))
     elif name == "sinc_cosine":
         g = Profile("cosine",
                     fn=lambda t: np.cos(np.pi * t / 2.0),
@@ -194,7 +182,6 @@ def _make_builtin(name: str) -> KernelPair:
             "sinc",
             fn=lambda t, c=C: (np.pi / 2.0) ** 2 * np.sinc(t / 2.0) / c,
             dfn=lambda t, c=C: _sinc_deriv(t, c),
-            curvature0=-(np.pi / 2.0) ** 4 / (3.0 * C),
         )
     elif name == "gaussian_gaussian":
         g = _gaussian_profile("gaussian_shadow")

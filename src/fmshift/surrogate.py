@@ -6,8 +6,9 @@ The estimated surrogate density built from the shadow profile g is
 
 and mean shift with the linked profile k performs adaptive gradient ascent on
 p~. This module evaluates the K-based estimate, the functional gradient of p~,
-the mean-shift vector, the second Gateaux differential (a bilinear form) and
-two versions of the curvature statistic lambda = sup_{||y||=1} p~^(2)(y, y).
+the mean-shift vector, the second Gateaux differential (a bilinear form), the
+curvature statistic lambda = sup_{||y||=1} p~^(2)(y, y) (``lambda_eigen``) and
+its closed-form upper bound, the trace of the same form (``lambda_paper``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "DensityModel",
     "NormalizerError",
     "OutsideSupportError",
-    "SingularEvaluationError",
 ]
 
 
@@ -42,10 +42,6 @@ class NormalizerError(ValueError):
 
 class OutsideSupportError(ValueError):
     """The query point is outside the support ball of every sample curve."""
-
-
-class SingularEvaluationError(ValueError):
-    """A curvature evaluation hit zero distance with no usable profile limit."""
 
 
 def _bandwidths(bandwidth, n: int) -> np.ndarray:
@@ -258,21 +254,13 @@ class DensityModel:
 
     # -- second order -------------------------------------------------------
 
-    def _curvature_limit(self) -> float:
-        c0 = self.pair.k.curvature_limit()
-        if not np.isfinite(c0):
-            raise SingularEvaluationError(
-                "zero distance hit and lim k'(t)/t is unavailable for this profile"
-            )
-        return c0
-
     def _curvature_terms(self, XF: np.ndarray) -> tuple:
         """DF, d, k(d/h), k'(d/h) and k'(d/h)/d for the rows X_i - x of each
         query x, given the r x P stack XF of the queries' component rows: DF
         is r x n x P, the others r x n; all read-only.
 
-        k'(d/h)/d is set to 0 where d = 0. A zero distance with k'(0) != 0
-        needs the profile limit lim k'(t)/t and raises if it is unavailable.
+        k'(d/h)/d is set to 0 where d = 0: there the row X_i - x is 0, so it
+        adds nothing to the second differential through that term.
 
         The terms of the last stack are kept, and a repeat of it returns them.
         A resample starts with its base's, gathered by ``np.take`` into C
@@ -285,10 +273,7 @@ class DensityModel:
         t = d / self._h
         kv = self.pair.k(t)
         dk = self.pair.k.deriv(t)
-        zero = d == 0.0
-        if np.any(zero & (dk != 0.0)):
-            self._curvature_limit()  # raises if the limit is unavailable
-        dk_over_d = np.divide(dk, d, out=np.zeros_like(d), where=~zero)
+        dk_over_d = np.divide(dk, d, out=np.zeros_like(d), where=d != 0.0)
         terms = DF, d, kv, dk, dk_over_d
         for a in terms:
             a.setflags(write=False)
@@ -321,11 +306,13 @@ class DensityModel:
         raises ``np.linalg.LinAlgError``): a query's values do not depend on
         the others in the batch.
 
-        ``lambda_paper`` is the closed-form statistic transcribed from its
-        derivation. Kept alongside ``lambda_eigen`` for comparison; the two
-        need not agree (see README) and reports carry both. At a zero
-        distance it takes the profile limit lim k'(t)/t, and raises if that
-        limit is unavailable.
+        ``lambda_paper`` is the trace bound T = sum_i w_i ||X_i - x||^2 - b
+        = -C w_G sum_i [k'(d_i/h_i) d_i/h_i^3 + k(d_i/h_i)/h_i^2], the trace
+        of the operator minus b: a closed form in d, k and k', of the same
+        unit (length^-2) as ``lambda_eigen`` and at least it (the top
+        eigenvalue of a positive semidefinite operator is at most its trace),
+        with equality when exactly one row is live. A row at d = 0 adds its
+        term of b alone, so no profile limit at t = 0 is needed.
         """
         XF = np.array([self._components(x) for x in xs])
         DF, d, kv, dk, dk_over_d = self._curvature_terms(XF)
@@ -340,16 +327,7 @@ class DensityModel:
             A *= np.sqrt(wts[c, live])[:, None]
             A *= self.metric.root_w
             lam_eigen[c] = max(_top_eigenvalue(A @ A.T), 0.0) - b[c]
-
-        v = ((dk_over_d / self._h3)[:, None, :] @ DF)[:, 0]
-        vnorm = np.sqrt(np.maximum((v * self.metric.w * v).sum(axis=-1), 0.0))
-        # scalar sum: (1/h^2) [ (1/h) k'(d/h) (d + 1/d) + k(d/h) ]; at d = 0
-        # the k'd term vanishes and k'/d takes its continuity-extension limit
-        zero = d == 0.0
-        if np.any(zero):
-            dk_over_d = np.where(zero, self._curvature_limit() / self._h, dk_over_d)
-        scalar = ((dk * d + dk_over_d) / self._h3 + kv / self._h2).sum(axis=-1)
-        return lam_eigen, cw * (2.0 * vnorm - scalar)
+        return lam_eigen, -cw * (dk * d / self._h3).sum(axis=-1) - b
 
     def lambda_eigen(self, x: Curve) -> float:
         """sup over unit y of the second differential at x; see
@@ -357,5 +335,6 @@ class DensityModel:
         return float(self.curvature_statistics([x])[0][0])
 
     def lambda_paper(self, x: Curve) -> float:
-        """Closed-form curvature statistic at x; see ``curvature_statistics``."""
+        """The trace bound on ``lambda_eigen`` at x; see
+        ``curvature_statistics``."""
         return float(self.curvature_statistics([x])[1][0])

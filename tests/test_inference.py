@@ -231,6 +231,40 @@ class TestReplicatesAsIndexViews:
                 assert np.array_equal(rec.replicates[name], want[name][i])
 
 
+# a gap of 6 gives two sharp modes, a gap of 0.5 some candidates that are
+# not significant
+@pytest.mark.parametrize("gap", [6.0, 0.5])
+@pytest.mark.parametrize("kernel", ["gaussian_gaussian", "biweight_triweight"])
+@pytest.mark.parametrize("distance", [
+    DistanceSpec("l2"),
+    DistanceSpec("sobolev_h1",
+                 derivative_method=DerivativeMethod("local_poly", 2, 0.1)),
+], ids=["l2", "sobolev_h1_local_poly"])
+class TestIntervalOrdering:
+    def test_lambda_paper_interval_ends_at_or_above_lambda_eigen(self, distance,
+                                                                 kernel, gap):
+        # lambda_paper, the trace bound, is at least lambda_eigen in every
+        # replicate, so each percentile of its replicates is too
+        sample, pair = two_blob_sample(seed=5, gap=gap), builtin_pair(kernel)
+        reports = {name: run_mode_test(sample, pair, distance,
+                                       bandwidth=median_distance(distance),
+                                       t_cfg=ModeTestConfig(n_boot=200,
+                                                            statistic=name),
+                                       seed=11)
+                   for name in STATISTICS}
+        eigen, paper = reports["lambda_eigen"], reports["lambda_paper"]
+        assert eigen.records
+        for e, p in zip(eigen.records, paper.records, strict=True):
+            for name in STATISTICS:  # the same replicates
+                assert np.array_equal(e.replicates[name], p.replicates[name])
+            scale = max(np.abs(r).max() for r in e.replicates.values())
+            assert np.all(e.replicates["lambda_paper"]
+                          >= e.replicates["lambda_eigen"] - 1e-12 * scale)
+            assert p.ci[0] >= e.ci[0] - 1e-12 * scale
+            assert p.ci[1] >= e.ci[1] - 1e-12 * scale
+            assert e.significant or not p.significant
+
+
 def separated_levels():
     # the first half (0, 0.01, 5) has a close pair and so a non-atomic mode;
     # the second half (5.01, 100, 200) has no pair within reach of h = 1

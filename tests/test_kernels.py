@@ -98,13 +98,6 @@ class TestBuiltinPairs:
         # g(t) = 1 - t^2 has g'' = -2 up to and including t = 1
         assert builtin_pair("uniform_epanechnikov").g.deriv2(1.0) == -2.0
 
-    @pytest.mark.parametrize("name", BUILTIN_PAIR_NAMES)
-    def test_curvature_limit_matches_numeric(self, name):
-        pair = builtin_pair(name)
-        c0 = pair.k.curvature_limit()
-        t = 1e-4
-        assert pair.k.deriv(t) / t == pytest.approx(c0, abs=1e-4)
-
 
 class TestShadowOf:
     def test_reconstructs_epanechnikov_kernel(self):
@@ -293,7 +286,3 @@ class TestProfileMasking:
     def test_methods_stay_in_the_class_body(self):
         # span tracers wrap them through the class dictionary
         assert {"__call__", "deriv", "deriv2"} <= set(vars(Profile))
-
-    def test_sinc_curvature_limit_uses_its_linking_constant(self):
-        pair = builtin_pair("sinc_cosine")
-        assert pair.k.curvature0 == -(np.pi / 2.0) ** 4 / (3.0 * pair.C)

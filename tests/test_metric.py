@@ -216,9 +216,8 @@ class TestMetricOracle:
         ref_eigen = max(np.linalg.eigvalsh(sw[:, None] * G * sw[None, :])[-1], 0.0) - b
         assert model.lambda_eigen(Curve(grid, x)) == pytest.approx(ref_eigen, rel=1e-9)
 
-        v = coef @ D
-        scalar = float(((dk * d + dk / d) / h**3 + kv / h**2).sum())
-        ref_paper = cw * (2.0 * np.sqrt(ip(v, v)) - scalar)
+        # the trace bound: sum_i w_i <X_i-x, X_i-x> - b
+        ref_paper = float(sum(-cw * c * ip(Di, Di) for c, Di in zip(coef, D))) - b
         assert model.lambda_paper(Curve(grid, x)) == pytest.approx(ref_paper, rel=1e-9)
 
     @pytest.mark.parametrize("kind, order, method", KIND_ORDER_METHOD)

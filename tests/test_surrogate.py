@@ -4,9 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import optimize
+from scipy import linalg, optimize
 
 import fmshift.surrogate as surrogate
 from fmshift import (
@@ -21,8 +21,8 @@ from fmshift import (
     NormalizerError,
     OutsideSupportError,
     Profile,
-    SingularEvaluationError,
     builtin_pair,
+    validate_pair,
 )
 
 GRID = Grid(np.linspace(0.0, 1.0, 15))
@@ -403,8 +403,6 @@ def per_x_curvature_terms(model, x):
     t = d / model._h
     kv, dk = model.pair.k(t), model.pair.k.deriv(t)
     zero = d == 0.0
-    if np.any(zero & (dk != 0.0)):
-        model._curvature_limit()
     with np.errstate(divide="ignore", invalid="ignore"):
         dk_over_d = np.where(zero, 0.0, dk / np.where(zero, 1.0, d))
     return DF, d, kv, dk, dk_over_d
@@ -427,15 +425,13 @@ def lambda_eigen_reference(model, x):
 
 
 def lambda_paper_reference(model, x):
-    DF, d, kv, dk, dk_over_d = per_x_curvature_terms(model, x)
+    """The trace bound sum_i w_i <X_i - x, X_i - x> - b, from the inner
+    products of the rows, not from their distances."""
+    DF, _, kv, _, dk_over_d = per_x_curvature_terms(model, x)
     h, cw = model._h, model.pair.C * model.w_G
-    v = (dk_over_d / h**3) @ DF
-    vnorm = float(np.sqrt(max(model.metric.gram(v, v), 0.0)))
-    zero = d == 0.0
-    if np.any(zero):
-        dk_over_d = np.where(zero, model._curvature_limit() / h, dk_over_d)
-    scalar = float(((dk * d + dk_over_d) / h**3 + kv / h**2).sum())
-    return cw * (2.0 * vnorm - scalar)
+    b = cw * float((kv / h**2).sum())
+    wts = -cw * dk_over_d / h**3
+    return float(sum(w * model.metric.gram(r, r) for w, r in zip(wts, DF))) - b
 
 
 def live_rows(model, x):
@@ -455,10 +451,10 @@ SPECS = {
 }
 
 
-def smooth_model(seed, spec, kernel, n, reach=0.6):
+def smooth_model(seed, spec, kernel, n, reach=0.6, per_datum=False):
     """n smooth curves, with h at ``reach`` times the largest pairwise
-    distance, and queries: a random curve, a sample curve and one beyond every
-    support."""
+    distance (times a factor in [0.7, 1.3] per curve if ``per_datum``), and
+    queries: a random curve, a sample curve and one beyond every support."""
     rng = np.random.default_rng(seed)
     t = GRID.points
     M = (rng.standard_normal((n, 1)) * np.sin(2 * np.pi * t)
@@ -467,6 +463,8 @@ def smooth_model(seed, spec, kernel, n, reach=0.6):
     sample = FunctionalSample.from_matrix(GRID, M)
     pair = builtin_pair(kernel)
     h = reach * DensityModel(sample, pair, spec, normalized=False).max_pairwise_distance
+    if per_datum:
+        h = h * rng.uniform(0.7, 1.3, n)
     model = DensityModel(sample, pair, spec, bandwidth=h)
     queries = {"random": Curve(GRID, M.mean(axis=0) + 0.1 * rng.standard_normal(len(GRID))),
                "sample": sample.curves[1],
@@ -474,8 +472,8 @@ def smooth_model(seed, spec, kernel, n, reach=0.6):
     return model, queries
 
 
-def assert_close(got, want):
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (got, want)
+def assert_close(got, want, rel=1e-12):
+    assert got == pytest.approx(want, rel=rel, abs=1e-300), (got, want)
 
 
 class TestCurvatureStatisticsOracle:
@@ -520,23 +518,37 @@ class TestCurvatureStatisticsOracle:
         assert model.lambda_eigen(x) == lambda_eigen_reference(model, x)
         assert model.lambda_eigen(x) == pytest.approx(-b, rel=1e-12)
 
-    def test_zero_distance_without_a_profile_limit_raises(self):
-        # k(t) = 1 - t: k'(0) = -1, so k'(t)/t has no finite limit at 0
+    @pytest.mark.parametrize("spec", ["l2", "sobolev_h1_fd"])
+    def test_zero_distance_with_a_nonzero_slope_at_zero(self, spec):
+        # k(t) = 1 - t has k'(0) = -1, so k'(t)/t has no finite limit at 0;
+        # its shadow is g(t) = 1 - 3t^2 + 2t^3 with C = 6. At a sample curve
+        # the row at d = 0 is 0, so no limit is needed
         k = Profile("linear", fn=lambda t: 1.0 - t,
-                    dfn=lambda t: -np.ones_like(t), curvature0=-np.inf)
-        pair = KernelPair(k=k, g=builtin_pair("epanechnikov_biweight").g, C=2.0)
-        model, queries = smooth_model(5, SPECS["l2"], "gaussian_gaussian", 6)
+                    dfn=lambda t: -np.ones_like(t),
+                    d2fn=lambda t: np.zeros_like(t))
+        g = Profile("cubic", fn=lambda t: 1.0 - 3.0 * t**2 + 2.0 * t**3,
+                    dfn=lambda t: -6.0 * t * (1.0 - t),
+                    d2fn=lambda t: 12.0 * t - 6.0)
+        pair = KernelPair(k=k, g=g, C=6.0)
+        assert validate_pair(pair).passed
+        model, queries = smooth_model(5, SPECS[spec], "gaussian_gaussian", 6)
         model = DensityModel(model.sample, pair, model.distance,
                              bandwidth=float(model._h[0]))
         x = queries["sample"]
-        for stat in (lambda_eigen_reference, lambda_paper_reference,
-                     DensityModel.lambda_eigen, DensityModel.lambda_paper):
-            with pytest.raises(SingularEvaluationError):
-                stat(model, x)
-        # away from the sample the statistics exist
-        y = queries["random"]
-        assert_close(model.lambda_eigen(y), lambda_eigen_reference(model, y))
-        assert_close(model.lambda_paper(y), lambda_paper_reference(model, y))
+        assert 0.0 in model.distances_to(x) and live_rows(model, x) > 1
+        y = Curve(GRID, np.random.default_rng(1).standard_normal(len(GRID)))
+        # g(d/h) has a |d|^3 term at that row, so the difference is O(alpha)
+        assert model.hessian_form(x, y, y) == pytest.approx(
+            fd_second(model, x, y), rel=1e-3)
+        # the form's matrix on the grid basis, and its Gram matrix: the
+        # supremum over unit y is the top generalized eigenvalue
+        basis = [Curve(GRID, e) for e in np.eye(len(GRID))]
+        H = np.array([[model.hessian_form(x, a, b) for b in basis] for a in basis])
+        E = model.metric.components(np.eye(len(GRID)))
+        M = model.metric.gram(E, E)
+        assert_close(model.lambda_eigen(x),
+                     linalg.eigh(H, M, eigvals_only=True)[-1], rel=1e-9)
+        assert_close(model.lambda_paper(x), lambda_paper_reference(model, x))
 
 
 def failing_dsyevr(a, **kwargs):
@@ -590,6 +602,85 @@ class TestBatchIdentity:
         batch = np.array(model.curvature_statistics(xs))
         ones = np.array([model.curvature_statistics([x]) for x in xs])[:, :, 0].T
         assert np.array_equal(batch, ones)
+
+
+def trace_scale(model, x):
+    """C w_G sum_i [|k'(d_i/h_i)| d_i/h_i^3 + k(d_i/h_i)/h_i^2], the size of
+    the terms of the trace bound: the scale of its rounding."""
+    _, d, kv, dk, _ = per_x_curvature_terms(model, x)
+    h = model._h
+    return model.pair.C * model.w_G * float((-dk * d / h**3 + kv / h**2).sum())
+
+
+class TestTraceBound:
+    @given(seed=st.integers(0, 2**32 - 1),
+           spec=st.sampled_from(list(SPECS)),
+           kernel=st.sampled_from(BUILTIN_PAIR_NAMES),
+           per_datum=st.booleans(),
+           n=st.integers(2, 40),
+           reach=st.floats(0.3, 1.5))
+    @settings(max_examples=80, deadline=None)
+    def test_lambda_paper_bounds_lambda_eigen(self, seed, spec, kernel,
+                                              per_datum, n, reach):
+        try:
+            model, queries = smooth_model(seed, SPECS[spec], kernel, n, reach,
+                                          per_datum)
+        except NormalizerError:  # no pair within reach
+            assume(False)
+        xs = list(queries.values()) + list(model.sample.curves[:3])
+        eigen, paper = model.curvature_statistics(xs)
+        for x, e, p in zip(xs, eigen, paper):
+            assert p - e >= -1e-12 * trace_scale(model, x), (p, e)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           spec=st.sampled_from(list(SPECS)),
+           kernel=st.sampled_from(BUILTIN_PAIR_NAMES),
+           per_datum=st.booleans(),
+           n=st.integers(2, 30),
+           j=st.integers(0, 29),
+           u=st.floats(0.05, 0.95))
+    @settings(max_examples=80, deadline=None)
+    def test_equality_with_one_live_row(self, seed, spec, kernel, per_datum,
+                                        n, j, u):
+        # a query near sample curve j, whose support alone reaches it
+        base, _ = smooth_model(seed, SPECS[spec], kernel, n, reach=1.2)
+        j %= n
+        rng = np.random.default_rng(seed)
+        x = Curve(GRID, base._V[j] + 0.01 * rng.standard_normal(len(GRID)))
+        d = base.distances_to(x)
+        if per_datum:
+            h = 0.5 * d  # t = 2 beyond the support
+            h[j] = d[j] / u
+        else:
+            near, second = np.partition(d, 1)[:2]
+            assume(np.argmin(d) == j and near < second)
+            h = near + u * (second - near)
+        model = DensityModel(base.sample, base.pair, base.distance, bandwidth=h,
+                             normalized=False)
+        # the uniform profile has k' = 0, so none is live and both are -b
+        assert live_rows(model, x) == (0 if kernel == "uniform_epanechnikov" else 1)
+        eigen, paper = model.curvature_statistics([x])
+        assert abs(paper[0] - eigen[0]) <= 1e-12 * trace_scale(model, x)
+
+
+@pytest.mark.parametrize("s", [1.0 / 16.0, 4.0, 16.0])
+@pytest.mark.parametrize("per_datum", [False, True], ids=["scalar_h", "per_datum_h"])
+@pytest.mark.parametrize("kernel", BUILTIN_PAIR_NAMES)
+@pytest.mark.parametrize("spec", ["l2", "sobolev_h1_local_poly"])
+class TestUnits:
+    def test_statistics_scale_as_length_to_the_minus_two(self, spec, kernel,
+                                                          per_datum, s):
+        # curves and h times a power of two s: every value is exactly s^-2
+        # times the unscaled one
+        model, queries = smooth_model(6, SPECS[spec], kernel, 12,
+                                      per_datum=per_datum)
+        xs = list(queries.values())
+        scaled = DensityModel(FunctionalSample.from_matrix(GRID, s * model._V),
+                              model.pair, model.distance, bandwidth=s * model._h)
+        got = scaled.curvature_statistics([Curve(GRID, s * x.values) for x in xs])
+        want = model.curvature_statistics(xs)
+        assert np.array_equal(got[0] * s**2, want[0])
+        assert np.array_equal(got[1] * s**2, want[1])
 
 
 # -- a resample of a model against a fresh model of the resample ---------------
