@@ -34,7 +34,7 @@ from .io import (
     tangential_acceleration,
 )
 from .kernels import BUILTIN_PAIR_NAMES, builtin_pair
-from .reports import ModeTestTable, RunReport
+from .reports import ModeTestTable, RunReport, _fmt
 from .surrogate import DensityModel, NormalizerError, OutsideSupportError
 
 EXIT_OK = 0
@@ -98,6 +98,9 @@ def _add_engine_args(p):
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--step-tol", type=float, default=None)
     p.add_argument("--merge-factor", type=float, default=0.05)
+
+
+def _add_probe_args(p):
     p.add_argument("--perturb", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
 
@@ -157,11 +160,11 @@ def _load_sample(args):
 
 
 def _engine_cfg(args) -> MeanShiftConfig:
+    probe = ({"perturbation_scale": args.perturb, "seed": args.seed}
+             if "perturb" in args else {})
     return MeanShiftConfig(max_iters=args.max_iters,
                            step_tolerance=args.step_tol,
-                           merge_radius_factor=args.merge_factor,
-                           perturbation_scale=args.perturb,
-                           seed=args.seed)
+                           merge_radius_factor=args.merge_factor, **probe)
 
 
 def _absolute_bandwidth(args, sample, spec) -> float:
@@ -219,7 +222,7 @@ def _cmd_cluster(args) -> int:
     model = DensityModel(sample, pair, spec, bandwidth=h, normalized=False)
     modes = cluster(model, _engine_cfg(args))
     report = _mode_report(args, sample, modes, digests,
-                          extra_config={"bandwidth": repr(float(h))})
+                          extra_config={"bandwidth": _fmt(h)})
     _write_atomic(args.out, report.to_text())
     sizes = modes.cluster_sizes()
     print(f"clusters: {len(sizes)} "
@@ -236,11 +239,11 @@ def _cmd_scan(args) -> int:
     sc = ScanSpec(args.values, args.lo, args.hi, args.min_plateau)
     result = scan(sample, pair, spec, sc, _engine_cfg(args))
     lines = [f"# fmshift scan (kernel={args.kernel}, distance={args.distance})",
-             f"# max_distance = {result.max_distance!r}",
-             "# candidates = " + ";".join(repr(c) for c in result.candidates),
+             f"# max_distance = {_fmt(result.max_distance)}",
+             "# candidates = " + ";".join(_fmt(c) for c in result.candidates),
              "bandwidth,nonatomic,clustered"]
     for h, na, cc in result.rows():
-        lines.append(f"{h!r},{na},{cc}")
+        lines.append(f"{_fmt(h)},{na},{cc}")
     _write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"candidate bandwidths: {list(result.candidates)}", file=sys.stderr)
     return EXIT_OK
@@ -272,7 +275,7 @@ def _cmd_test_modes(args) -> int:
                           bandwidth=report.bandwidth, rows=rows)
     run = _mode_report(args, sample, report.candidates, digests,
                        test_table=table,
-                       extra_config={"alpha": repr(args.alpha),
+                       extra_config={"alpha": _fmt(args.alpha),
                                      "boot": str(args.boot)})
     _write_atomic(args.out, run.to_text())
     print(f"candidates: {len(report.tested_mode_indices)}, "
@@ -296,11 +299,11 @@ def _cmd_baseline(args) -> int:
     result = fpca_kmeans(sample, args.components, args.k, args.seed)
     lines = ["# fmshift fpca/k-means baseline",
              "# explained_fraction = "
-             + ";".join(repr(float(f)) for f in result.explained_fraction)]
+             + ";".join(_fmt(f) for f in result.explained_fraction)]
     header = ["curve"] + [f"score_{j}" for j in range(args.components)] + ["cluster"]
     lines.append(",".join(header))
     for i in range(len(sample)):
-        cells = [str(i)] + [repr(float(s)) for s in result.pc_scores[i]] \
+        cells = [str(i)] + [_fmt(s) for s in result.pc_scores[i]] \
             + [str(int(result.km_assignments[i]))]
         lines.append(",".join(cells))
     _write_atomic(args.out, "\n".join(lines) + "\n")
@@ -321,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_bandwidth_args(p)
     _add_engine_args(p)
+    _add_probe_args(p)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_cluster)
 
@@ -340,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_bandwidth_args(p, percentile=True)
     _add_engine_args(p)
+    _add_probe_args(p)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--boot", type=int, default=1000)
     p.add_argument("--statistic", choices=STATISTICS, default="lambda_eigen")
@@ -371,14 +376,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, FileNotFoundError, NotADirectoryError) as exc:
-        print(f"error: category=input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (NormalizerError, OutsideSupportError, DegenerateFeatureError,
             FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"error: category=numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    # InputFormatError is a ValueError; the numeric ValueErrors are caught above
+    except (ValueError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: category=input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

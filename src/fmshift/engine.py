@@ -176,7 +176,9 @@ def cluster(model: DensityModel, cfg: MeanShiftConfig | None = None,
     atomic: list[bool] = []
     if in_support:
         terminals = np.array([trajectories[i].terminal.values for i in in_support])
-        F = model.metric.components(terminals)
+        # centred: the Gram form loses about sqrt(eps) of the rows' norms, so
+        # terminals far from the origin would otherwise merge by rounding
+        F = model.metric.components(terminals - terminals.mean(axis=0))
         # single linkage: the connected components, found breadth first, of
         # the graph linking terminals within the radius, labelled in order of
         # first appearance

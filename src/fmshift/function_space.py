@@ -297,13 +297,18 @@ def _derivative_operator(grid: Grid, order: int, method: DerivativeMethod) -> np
     """The read-only L x L operator D of (grid, order, method), with ``v @ D``
     the derivative of v; built on the first request and kept on the grid.
 
-    A finite-difference operator is ``_derivative_matrix`` of the identity.
+    A finite-difference operator is ``np.gradient`` of the identity, taken
+    ``order`` times.
     """
     ops = grid._derivative_operators
     key = (order, method)
     if key not in ops:
         if method.kind == "finite_difference":
-            D = _derivative_matrix(np.eye(len(grid)), grid, order, method)
+            if len(grid) < order + 1:
+                raise ValueError("grid too short for finite differences")
+            D = np.eye(len(grid))
+            for _ in range(order):
+                D = np.gradient(D, grid.points, axis=-1)
         else:
             D = _build_local_poly_operator(grid.points, order, method.degree,
                                            method.bandwidth)
@@ -315,13 +320,6 @@ def _derivative_operator(grid: Grid, order: int, method: DerivativeMethod) -> np
 def _derivative_matrix(values: np.ndarray, grid: Grid, order: int,
                        method: DerivativeMethod) -> np.ndarray:
     """Derivatives of each row of a value matrix (or of one value vector)."""
-    if method.kind == "finite_difference":
-        if len(grid) < order + 1:
-            raise ValueError("grid too short for finite differences")
-        out = values
-        for _ in range(order):
-            out = np.gradient(out, grid.points, axis=-1)
-        return out
     return values @ _derivative_operator(grid, order, method)
 
 

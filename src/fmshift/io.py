@@ -18,6 +18,7 @@ import numpy as np
 
 from . import function_space
 from .function_space import Curve, DerivativeMethod, FunctionalSample, Grid
+from .reports import _fmt
 
 __all__ = [
     "InputFormatError",
@@ -39,11 +40,6 @@ class InputFormatError(ValueError):
 
 class DegenerateFeatureError(ValueError):
     """The extracted feature curve is zero up to rounding and cannot be normalized."""
-
-
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest exact round-trip form
-    return repr(float(x))
 
 
 def file_digest(path) -> str:

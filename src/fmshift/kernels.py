@@ -183,12 +183,10 @@ def _make_builtin(name: str) -> KernelPair:
             fn=lambda t, c=C: (np.pi / 2.0) ** 2 * np.sinc(t / 2.0) / c,
             dfn=lambda t, c=C: _sinc_deriv(t, c),
         )
-    elif name == "gaussian_gaussian":
+    else:  # "gaussian_gaussian"; builtin_pair rejects every other name
         g = _gaussian_profile("gaussian_shadow")
         C = _GAUSS_C
         k = _gaussian_profile("truncated_gaussian", scale=1.0 / C)
-    else:
-        raise ValueError(f"unknown builtin kernel pair {name!r}")
     return KernelPair(k=k, g=g, C=C)
 
 

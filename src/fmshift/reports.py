@@ -15,6 +15,7 @@ HEADER = "# fmshift run report v1"
 
 
 def _fmt(x: float) -> str:
+    # repr of a Python float is the shortest exact round-trip form
     return repr(float(x))
 
 

@@ -275,6 +275,18 @@ class TestScan:
         assert len(data) == 11
         assert any(l.startswith("# candidates") for l in lines)
 
+    @pytest.mark.parametrize("flag, value", [("--seed", 3), ("--perturb", 0.1)])
+    def test_stability_probe_flags_are_refused(self, flag, value, curves_csv,
+                                               tmp_path):
+        # the probes' flags are not part of the table, so a probe setting
+        # would change nothing
+        out = tmp_path / "scan.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["scan", "--input", curves_csv, "--values", 10, flag, value,
+                 "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestTestModes:
     def test_percentile_bandwidth(self, curves_csv, tmp_path):
@@ -527,6 +539,15 @@ class TestSignatureFiles:
         err = capsys.readouterr().err
         assert "category=input" in err
         assert "w0\\nx.txt" in err  # the name, with its line break escaped
+        assert not out.exists()
+
+    def test_a_plain_file_is_exit_2(self, tmp_path, capsys):
+        plain = tmp_path / "sigs.txt"
+        plain.write_text("0 0 0\n")
+        out = tmp_path / "r.txt"
+        assert self.cluster(plain, out) == 2
+        err = capsys.readouterr().err
+        assert "category=input" in err and "sigs.txt" in err
         assert not out.exists()
 
     def test_short_signature_names_the_file(self, tmp_path, capsys):

@@ -481,3 +481,28 @@ class TestFirstStepOracle:
             # reach of all others, so it sees only its own weight and stays
             V = sample.matrix
             assert np.allclose(got, V, rtol=1e-13, atol=1e-13 * np.abs(V).max())
+
+
+class TestMergeOrigin:
+    """Shifting every curve by one constant leaves the partition as it is.
+    The merge centres the terminals first, so the Gram form's loss of about
+    sqrt(eps) of the rows' norms does not merge modes far from the origin."""
+
+    @staticmethod
+    def partition(kind, c):
+        grid = Grid(np.linspace(0.0, 1.0, 50))
+        rng = np.random.default_rng(0)
+        level = np.repeat([0.0, 3.0], 30)
+        a = rng.normal(1.0, 0.1, 60)
+        V = level[:, None] + a[:, None] * np.cos(2.5 * np.pi * grid.points)
+        model = DensityModel(FunctionalSample.from_matrix(grid, V + c),
+                             builtin_pair("gaussian_gaussian"),
+                             DistanceSpec(kind), bandwidth=1.0)
+        return cluster(model).assignments
+
+    @pytest.mark.parametrize("kind", ["l2", "sobolev_h1"])
+    @pytest.mark.parametrize("c", [0.0, 1e8, 1e9])
+    def test_partition_ignores_a_constant_shift(self, kind, c):
+        at_origin = self.partition(kind, 0.0)
+        assert sorted(set(at_origin)) == [0, 1]
+        assert self.partition(kind, c) == at_origin

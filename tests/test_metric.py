@@ -22,10 +22,13 @@ from fmshift import (
     FunctionalSample,
     Grid,
     MeanShiftConfig,
+    SignatureRecord,
     builtin_pair,
     cluster,
     distance,
+    estimate_derivative,
     inner_product,
+    tangential_acceleration,
 )
 from fmshift.function_space import Metric
 
@@ -319,6 +322,43 @@ class TestFiniteDifferenceOperator:
             want = np.gradient(want, points, axis=-1)
         assert np.array_equal(D, want)
         assert list(grid._derivative_operators) == [(order, DerivativeMethod())]
+
+    @pytest.mark.parametrize("through", ["estimate_derivative", "Metric",
+                                         "tangential_acceleration"])
+    def test_a_two_point_grid_is_too_short_for_order_2(self, through):
+        grid = Grid(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError,
+                           match="grid too short for finite differences"):
+            if through == "estimate_derivative":
+                estimate_derivative(Curve(grid, np.array([0.0, 1.0])), 2)
+            elif through == "Metric":
+                Metric(grid, DistanceSpec("derivative_l2", order=2))
+            else:
+                t = np.linspace(0.0, 1.0, 10)
+                tangential_acceleration(
+                    SignatureRecord(x=np.cos(t), y=np.sin(t), t=t), grid)
+
+
+class TestEstimateDerivativeIsTheMetricOperator:
+    """A curve's derivative is the derivative block of its metric components,
+    bit for bit: both apply the grid's one cached operator."""
+
+    @pytest.mark.parametrize("n", [20, 64, 128])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "non_uniform"])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("method", [
+        DerivativeMethod(), DerivativeMethod("local_poly", 3, 0.1)],
+        ids=["finite_difference", "local_poly"])
+    def test_bit_identical(self, n, uniform, order, method):
+        rng = np.random.default_rng(n)
+        points = (np.linspace(0.0, 1.0, n) if uniform
+                  else np.sort(rng.uniform(0.0, 1.0, n)))
+        grid = Grid(points)
+        c = Curve(grid, rng.standard_normal(n))
+        metric = Metric(grid, DistanceSpec("derivative_l2", order, method))
+        assert np.array_equal(estimate_derivative(c, order, method).values,
+                              metric.components(c.values))
 
 
 class TestLocalPolyOperator:
