@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import MeanShiftConfig, cluster
-from .function_space import DistanceSpec, FunctionalSample, Metric
+from .function_space import DistanceSpec, FunctionalSample
 from .kernels import KernelPair
 from .surrogate import DensityModel
 
@@ -66,9 +66,9 @@ def _find_plateaus(counts: np.ndarray, min_len: int):
     return plateaus
 
 
-def _rounding_level(metric: Metric, F: np.ndarray, V: np.ndarray) -> float:
-    """The largest distance between the curves of the value rows V, with
-    component rows F under the metric, that is zero up to rounding.
+def _rounding_level(model: DensityModel) -> float:
+    """The largest distance between the model's sample curves, under its
+    metric, that is zero up to rounding.
 
     Two kinds of rounding bound it. The Gram-form distances lose up to about
     5e-8 of the largest component norm (1e-6 leaves a margin). A derivative
@@ -79,6 +79,7 @@ def _rounding_level(metric: Metric, F: np.ndarray, V: np.ndarray) -> float:
     norm times the operator norms; 1e-12 of it is also above the worst-case
     rounding bound, grid length times eps, for grids of up to 4000 points.
     """
+    metric, F, V = model.metric, model._F, model.sample.matrix
     norm = float(np.sqrt(np.einsum("ij,ij->i", F * metric.w, F).max()))
     quad_weights = metric.w[:V.shape[1]]  # the trapezoid weights, w's first block
     value_norm = float(np.sqrt(np.einsum("ij,ij->i", V * quad_weights, V).max()))
@@ -87,42 +88,34 @@ def _rounding_level(metric: Metric, F: np.ndarray, V: np.ndarray) -> float:
     return max(1e-6 * norm, 1e-12 * value_norm * operator_norm)
 
 
-def _pairwise(sample: FunctionalSample, distance: DistanceSpec):
-    """The pairwise distances of the sample and their rounding level."""
-    metric = Metric(sample.grid, distance)
-    F = metric.components(sample.matrix)
-    return metric.pairwise(F), _rounding_level(metric, F, sample.matrix)
-
-
-def _max_distance(sample: FunctionalSample, distance: DistanceSpec) -> float:
-    """The largest pairwise distance, the unit of a relative bandwidth.
+def _max_distance(model: DensityModel) -> float:
+    """The largest pairwise distance of the model's sample, the unit of a
+    relative bandwidth.
 
     Raises ValueError when it is zero up to rounding (``_rounding_level``):
     the curves are then identical under the distance and no relative
     bandwidth exists.
     """
-    D, level = _pairwise(sample, distance)
-    dmax = float(D.max())
+    dmax, level = model.max_pairwise_distance, _rounding_level(model)
     if dmax <= level:
         raise ValueError(
-            f"the curves are identical under the {distance.kind} distance "
+            f"the curves are identical under the {model.distance.kind} distance "
             f"(largest pairwise distance {dmax:.3g}, at most the rounding "
             f"level {level:.3g}); a bandwidth relative to it does not exist"
         )
     return dmax
 
 
-def _percentile_distance(sample: FunctionalSample, distance: DistanceSpec,
-                         q: float) -> float:
-    """The q-th percentile of the pairwise distances i != j, a bandwidth for
-    the mode test; ValueError when it is zero up to rounding."""
-    D, level = _pairwise(sample, distance)
-    off = ~np.eye(len(sample), dtype=bool)
-    h = float(np.percentile(D[off], q))
+def _percentile_distance(model: DensityModel, q: float) -> float:
+    """The q-th percentile of the model's pairwise distances i != j, a
+    bandwidth for the mode test; ValueError when it is zero up to rounding."""
+    D = model.pairwise_distances
+    h = float(np.percentile(D[~np.eye(len(D), dtype=bool)], q))
+    level = _rounding_level(model)
     if h <= level:
         raise ValueError(
             f"percentile {q:g} of the first half's pairwise "
-            f"{distance.kind} distances is zero up to rounding ({h:.3g}); "
+            f"{model.distance.kind} distances is zero up to rounding ({h:.3g}); "
             "a bandwidth cannot be taken from it"
         )
     return h
@@ -132,22 +125,24 @@ def scan(sample: FunctionalSample, pair: KernelPair,
          distance: DistanceSpec | None = None,
          spec: ScanSpec | None = None,
          cfg: MeanShiftConfig | None = None) -> ScanResult:
-    """Cluster at each bandwidth of the sweep and locate stability plateaus."""
+    """Cluster at each bandwidth of the sweep and locate stability plateaus.
+
+    The sample's geometry does not depend on the bandwidth: one model is
+    built, and each value clusters its ``at_bandwidth`` copy."""
     if len(sample) < 2:
         raise ValueError("the bandwidth scan needs at least 2 curves")
     spec = spec or ScanSpec()
     cfg = cfg or MeanShiftConfig()
     distance = distance or DistanceSpec()
 
-    dmax = _max_distance(sample, distance)
+    base = DensityModel(sample, pair, distance, normalized=False)
+    dmax = _max_distance(base)
     hs = np.linspace(spec.lo_frac, spec.hi_frac, spec.n_values) * dmax
 
     nonatomic = np.empty(spec.n_values, dtype=int)
     clustered = np.empty(spec.n_values, dtype=int)
     for i, h in enumerate(hs):
-        model = DensityModel(sample, pair, distance, bandwidth=h,
-                             normalized=False)
-        modes = cluster(model, cfg)
+        modes = cluster(base.at_bandwidth(h), cfg)
         sizes = modes.cluster_sizes()
         nonatomic[i] = sum(1 for s in sizes if s > 1)
         clustered[i] = sum(s for s in sizes if s > 1)

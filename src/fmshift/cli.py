@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -167,12 +166,6 @@ def _engine_cfg(args) -> MeanShiftConfig:
                            merge_radius_factor=args.merge_factor, **probe)
 
 
-def _absolute_bandwidth(args, sample, spec) -> float:
-    if args.bandwidth is not None:
-        return args.bandwidth
-    return args.bandwidth_frac * _max_distance(sample, spec)
-
-
 def _provenance(args, digests) -> dict:
     prov = {"version": __version__, "seed": str(getattr(args, "seed", 0))}
     prov.update(digests)
@@ -216,11 +209,12 @@ def _start_counts(modes) -> str:
 
 def _cmd_cluster(args) -> int:
     sample, digests = _load_sample(args)
-    spec = _distance_spec(args)
-    pair = builtin_pair(args.kernel)
-    h = _absolute_bandwidth(args, sample, spec)
-    model = DensityModel(sample, pair, spec, bandwidth=h, normalized=False)
-    modes = cluster(model, _engine_cfg(args))
+    model = DensityModel(sample, builtin_pair(args.kernel), _distance_spec(args),
+                         normalized=False)
+    h = args.bandwidth
+    if h is None:
+        h = args.bandwidth_frac * _max_distance(model)
+    modes = cluster(model.at_bandwidth(h), _engine_cfg(args))
     report = _mode_report(args, sample, modes, digests,
                           extra_config={"bandwidth": _fmt(h)})
     _write_atomic(args.out, report.to_text())
@@ -254,11 +248,17 @@ def _cmd_test_modes(args) -> int:
     spec = _distance_spec(args)
     pair = builtin_pair(args.kernel)
 
+    def model(curves):
+        return DensityModel(curves, pair, spec, normalized=False)
+
     if args.bandwidth_percentile is not None:
-        bandwidth = partial(_percentile_distance, distance=spec,
-                            q=args.bandwidth_percentile)
+        # a rule of the mode-hunting half, which test_modes hands it
+        def bandwidth(sub1):
+            return _percentile_distance(model(sub1), args.bandwidth_percentile)
+    elif args.bandwidth_frac is not None:
+        bandwidth = args.bandwidth_frac * _max_distance(model(sample))
     else:
-        bandwidth = _absolute_bandwidth(args, sample, spec)
+        bandwidth = args.bandwidth
 
     t_cfg = TestConfig(alpha=args.alpha, n_boot=args.boot,
                        statistic=args.statistic, split_rule=args.split)

@@ -165,6 +165,8 @@ def fpca_kmeans(sample: FunctionalSample, n_components: int, k: int,
     n, m = V.shape
     if not (1 <= n_components <= min(n, m)):
         raise ValueError("n_components must be between 1 and min(n, grid length)")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if k > n:
         raise ValueError("cannot ask for more clusters than curves")
     w = sample.grid.quad_weights

@@ -317,10 +317,21 @@ def _derivative_operator(grid: Grid, order: int, method: DerivativeMethod) -> np
     return ops[key]
 
 
+def _rowwise(V: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """``v @ D`` for a value vector v, or for each row v of a value matrix V.
+
+    Each row is multiplied by D as a single vector is, in a stack of
+    vector-matrix products (a matrix-matrix product sums in another order),
+    so a row's product does not depend on the rows stacked with it.
+    """
+    return (V[..., None, :] @ D)[..., 0, :]
+
+
 def _derivative_matrix(values: np.ndarray, grid: Grid, order: int,
                        method: DerivativeMethod) -> np.ndarray:
-    """Derivatives of each row of a value matrix (or of one value vector)."""
-    return values @ _derivative_operator(grid, order, method)
+    """Derivatives of each row of a value matrix (or of one value vector),
+    each row's equal to that of the row alone (``_rowwise``)."""
+    return _rowwise(values, _derivative_operator(grid, order, method))
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +368,11 @@ class Metric:
         """The component row of a value vector, or one per row of a value
         matrix.
 
-        Each row is multiplied by D as a single vector is, in a stack of
-        vector-matrix products (a matrix-matrix product sums in another
-        order), so a curve's components do not depend on the rows stacked
-        with it: a query equal to a sample curve has exactly its components.
+        A derivative block is ``_rowwise(V, D)``, so a curve's components do
+        not depend on the rows stacked with it: a query equal to a sample
+        curve has exactly its components.
         """
-        blocks = [V if D is None else (V[..., None, :] @ D)[..., 0, :]
-                  for D in self.operators]
+        blocks = [V if D is None else _rowwise(V, D) for D in self.operators]
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
 
     def gram(self, FA: np.ndarray, FB: np.ndarray) -> np.ndarray:

@@ -179,14 +179,17 @@ def read_signature(path) -> SignatureRecord:
             ts.append(float(parts[2]))
         except ValueError:
             raise InputFormatError(f"{path}: line {i}: non-numeric coordinate") from None
-    t = np.array(ts)
+    x, y, t = np.array(xs), np.array(ys), np.array(ts)
+    finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(t)
+    if not finite.all():
+        i = int(np.argmin(finite)) + 2  # the first point is on line 2
+        raise InputFormatError(f"{path}: line {i}: non-finite coordinate")
     if np.any(np.diff(t) < 0):
         raise InputFormatError(f"{path}: timestamps decrease")
     dup = bool(np.any(np.diff(t) == 0))
     if dup:
         warnings.warn(f"{path}: duplicate consecutive timestamps", stacklevel=2)
-    return SignatureRecord(np.array(xs), np.array(ys), t,
-                           has_duplicate_timestamps=dup)
+    return SignatureRecord(x, y, t, has_duplicate_timestamps=dup)
 
 
 def write_signature(path, record: SignatureRecord) -> None:
@@ -228,7 +231,7 @@ def tangential_acceleration(sig: SignatureRecord, grid: Grid,
     s = (sig.t - sig.t[0]) / span
     xy = np.stack([np.interp(grid.points, s, sig.x),
                    np.interp(grid.points, s, sig.y)])
-    # x and y are differentiated together: one derivative operator per order
+    # x and y are differentiated together, each row as it would be alone
     dx, dy = function_space._derivative_matrix(xy, grid, 1, method)
     d2x, d2y = function_space._derivative_matrix(xy, grid, 2, method)
 

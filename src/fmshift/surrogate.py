@@ -86,7 +86,9 @@ class DensityModel:
     ``curvature_statistics``) are kept, read-only, so a repeat query at the
     same points computes none again. ``resample(idx)`` builds the model of a
     resample of the sample by gathering rows of this one, the kept terms
-    included, and equals a fresh model of the resample to the last bit.
+    included, and ``at_bandwidth(h)`` the model of the same sample at other
+    bandwidths, sharing its geometry; each equals a fresh model to the last
+    bit.
     """
 
     def __init__(self, sample: FunctionalSample, pair: KernelPair,
@@ -110,12 +112,11 @@ class DensityModel:
         Nothing is recomputed that this model already holds: the component
         rows, the bandwidths, the pairwise distances and the curvature terms
         this model keeps, if any yet (see the class docstring), are gathered
-        by row as the resample is built.
+        by row as the resample is built. ``at_bandwidth`` is the same kind of
+        copy along the other axis: same sample, other bandwidths.
         """
         idx = np.asarray(idx, dtype=np.intp)
-        new = object.__new__(DensityModel)
-        new.pair, new.distance, new.grid = self.pair, self.distance, self.grid
-        new.normalized, new.metric = self.normalized, self.metric
+        new = self._sibling()
         sample = self.sample.subset(idx)
         F = sample.matrix if self._F is self._V else self._F[idx]
         memo = None if self._memo is None else (
@@ -124,12 +125,37 @@ class DensityModel:
                  memo)
         return new
 
+    def at_bandwidth(self, bandwidth: float | Sequence[float]) -> "DensityModel":
+        """The model of the same sample at ``bandwidth`` (one number, or one
+        per sample curve) and the same normalization, equal to a fresh model
+        ``DensityModel(sample, pair, distance, bandwidth, normalized)`` to the
+        last bit.
+
+        The sample, the metric, the component rows and the read-only pairwise
+        distances do not depend on the bandwidth and are shared, not
+        recomputed; the curvature terms do, so none are kept. The normalizers
+        are set as ``__init__`` sets them, with the same ``NormalizerError``.
+        """
+        new = self._sibling()
+        new._set(self.sample, self._F, _bandwidths(bandwidth, self._n),
+                 self.pairwise_distances, None)
+        return new
+
+    def _sibling(self) -> "DensityModel":
+        """A model without state that shares this one's pair, distance, grid,
+        normalization and metric, for ``_set`` to fill."""
+        new = object.__new__(DensityModel)
+        new.pair, new.distance, new.grid = self.pair, self.distance, self.grid
+        new.normalized, new.metric = self.normalized, self.metric
+        return new
+
     def _set(self, sample: FunctionalSample, F: np.ndarray, h: np.ndarray,
              D: np.ndarray, memo):
-        """The one state setter of ``__init__`` and ``resample``: the sample,
-        its component rows F and n bandwidths h, its pairwise distances D and
-        kept curvature terms ``memo`` (stack, terms) or None, D and the terms
-        read-only from here; then the normalizers w_K and w_G from D."""
+        """The one state setter of ``__init__``, ``resample`` and
+        ``at_bandwidth``: the sample, its component rows F and n bandwidths h,
+        its pairwise distances D and kept curvature terms ``memo`` (stack,
+        terms) or None, D and the terms read-only from here; then the
+        normalizers w_K and w_G from D."""
         self.sample, self._V, self._n, self._F = sample, sample.matrix, len(sample), F
         self._h, self._h2, self._h3 = h, h**2, h**3
         self.pairwise_distances, self._memo = D, memo

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import fmshift.bandwidth
 from fmshift import (DensityModel, DerivativeMethod, DistanceSpec,
                      FunctionalSample, Grid, ScanSpec, builtin_pair, scan)
 from fmshift.bandwidth import (_find_plateaus, _max_distance, _percentile_distance,
                                _rounding_level)
+from fmshift.function_space import Metric
 
 GRID = Grid(np.linspace(0.0, 1.0, 21))
 
@@ -100,6 +102,41 @@ class TestScan:
             scan(sample, builtin_pair("gaussian_gaussian"))
 
 
+class TestOneModelPerScan:
+    @pytest.mark.parametrize("spec", [DistanceSpec(), DistanceSpec("sobolev_h1")],
+                             ids=["l2", "sobolev_h1"])
+    def test_one_geometry_for_the_whole_sweep(self, spec, monkeypatch):
+        calls = {"init": 0, "pairwise": 0}
+        models = []
+        init, pairwise = DensityModel.__init__, Metric.pairwise
+        cluster = fmshift.bandwidth.cluster
+
+        def counted_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_pairwise(self, F):
+            calls["pairwise"] += 1
+            return pairwise(self, F)
+
+        def recorded_cluster(model, cfg=None):
+            models.append(model)
+            return cluster(model, cfg)
+
+        monkeypatch.setattr(DensityModel, "__init__", counted_init)
+        monkeypatch.setattr(Metric, "pairwise", counted_pairwise)
+        monkeypatch.setattr(fmshift.bandwidth, "cluster", recorded_cluster)
+        res = scan(blob_sample(), builtin_pair("gaussian_gaussian"), spec)
+        assert len(models) == res.bandwidths.size == 100
+        assert calls["init"] == 1
+        # one pairwise matrix of the sample, then one per terminal merge
+        assert calls["pairwise"] == 1 + 100
+        D = models[0].pairwise_distances
+        assert all(m.pairwise_distances is D for m in models)
+        assert [float(m._h[0]) for m in models] == res.bandwidths.tolist()
+        assert all(not m.normalized for m in models)
+
+
 class TestZeroDistanceScale:
     @pytest.mark.parametrize("spec", [
         DistanceSpec(), DistanceSpec("sobolev_h1"),
@@ -176,7 +213,7 @@ class TestRoundingLevel:
         operator_norm = sum(float(np.linalg.norm(D)) for D in m.operators
                             if D is not None)
         want = max(1e-6 * norm, 1e-12 * value_norm * operator_norm)
-        assert _rounding_level(m, F, V) == pytest.approx(want, rel=1e-14)
+        assert _rounding_level(model) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("spec", ROUNDING_SPECS,
                              ids=["l2", "sobolev_h1", "derivative_l2_local_poly"])
@@ -185,7 +222,8 @@ class TestRoundingLevel:
         same = FunctionalSample.from_matrix(GRID, np.tile(base, (4, 1)))
         with pytest.raises(ValueError, match=f"identical under the {spec.kind} "
                                              "distance"):
-            _max_distance(same, spec)
+            _max_distance(DensityModel(same, builtin_pair("gaussian_gaussian"),
+                                       spec, normalized=False))
 
 
 class TestPercentileDistance:
@@ -194,12 +232,11 @@ class TestPercentileDistance:
     def test_is_the_percentile_of_the_off_diagonal_distances(self, spec):
         V = np.random.default_rng(9).standard_normal((12, len(GRID)))
         sample = FunctionalSample.from_matrix(GRID, V)
-        pair = builtin_pair("gaussian_gaussian")
-        D = DensityModel(sample, pair, spec, normalized=False).pairwise_distances
-        off = D[~np.eye(12, dtype=bool)]
+        model = DensityModel(sample, builtin_pair("gaussian_gaussian"), spec,
+                             normalized=False)
+        off = model.pairwise_distances[~np.eye(12, dtype=bool)]
         for q in (0.0, 41.0, 100.0):
-            assert _percentile_distance(sample, spec, q) \
-                == float(np.percentile(off, q))
+            assert _percentile_distance(model, q) == float(np.percentile(off, q))
 
     @pytest.mark.parametrize("spec", ROUNDING_SPECS,
                              ids=["l2", "sobolev_h1", "derivative_l2_local_poly"])
@@ -207,8 +244,10 @@ class TestPercentileDistance:
         # two distinct curves among copies: most pairs are at distance zero
         rows = np.tile(np.random.default_rng(10).standard_normal(len(GRID)), (6, 1))
         rows[0] += np.linspace(0.0, 1.0, len(GRID)) ** 2
-        sample = FunctionalSample.from_matrix(GRID, rows)
+        model = DensityModel(FunctionalSample.from_matrix(GRID, rows),
+                             builtin_pair("gaussian_gaussian"), spec,
+                             normalized=False)
         with pytest.raises(ValueError, match="percentile 41 of the first half's "
                                              f"pairwise {spec.kind} distances is "
                                              "zero up to rounding"):
-            _percentile_distance(sample, spec, 41)
+            _percentile_distance(model, 41)

@@ -29,6 +29,18 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def counting(monkeypatch, cls, name):
+    """Count the calls of cls.name from here on."""
+    real, calls = getattr(cls, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
 @pytest.fixture
 def curves_csv(tmp_path):
     path = tmp_path / "curves.csv"
@@ -100,6 +112,18 @@ class TestCluster:
                     "--out", out]) == 0
         rep = parse_report(out.read_text())
         assert rep.config["bandwidth"] == "1.5"
+
+    @pytest.mark.parametrize("flag, value", [("--bandwidth", 1.5),
+                                             ("--bandwidth-frac", 0.3)])
+    def test_one_model_is_built(self, flag, value, curves_csv, tmp_path,
+                                monkeypatch):
+        # the relative bandwidth is read off the model that is then
+        # re-bandwidthed: one sample geometry, then the terminal merge's
+        inits = counting(monkeypatch, DensityModel, "__init__")
+        pairwise = counting(monkeypatch, fmshift.surrogate.Metric, "pairwise")
+        assert run(["cluster", "--input", curves_csv, flag, value,
+                    "--out", tmp_path / "r.txt"]) == 0
+        assert len(inits) == 1 and len(pairwise) == 2
 
     def test_missing_input_is_exit_2(self, tmp_path):
         rc = run(["cluster", "--input", tmp_path / "nope.csv",
@@ -392,6 +416,15 @@ class TestBaseline:
         clusters = {l.split(",")[-1] for l in data}
         assert clusters == {"0", "1"}
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_exit_2(self, k, curves_csv, tmp_path, capsys):
+        out = tmp_path / "base.csv"
+        assert run(["baseline", "--input", curves_csv, "--k", k,
+                    "--out", out]) == 2
+        assert "error: category=input: k must be at least 1" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 SIGNATURE_ONLY_FLAGS = [("--sig-grid-points", 7),
                         ("--smooth-method", "finite_difference"),
@@ -559,6 +592,24 @@ class TestSignatureFiles:
         err = capsys.readouterr().err
         assert "category=input" in err
         assert "short.sig: signature needs at least 5 points" in err
+
+    @pytest.mark.parametrize("cell", ["x", "t"])
+    def test_non_finite_cell_names_the_file_and_line(self, cell, tmp_path,
+                                                     capsys):
+        # a nan x used to surface as "curve values must be finite", and an
+        # inf timestamp as a RuntimeWarning inside the feature
+        sigdir = tmp_path / "sigs"
+        write_circles(sigdir, self.NAMES)
+        lines = (sigdir / "s2.txt").read_text().splitlines()
+        x, y, t = lines[3].split()
+        lines[3] = f"nan {y} {t}" if cell == "x" else f"{x} {y} inf"
+        (sigdir / "s2.txt").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.txt"
+        assert self.cluster(sigdir, out) == 2
+        err = capsys.readouterr().err
+        assert f"category=input: {sigdir / 's2.txt'}: line 4: non-finite " \
+               "coordinate" in err
+        assert not out.exists()
 
     def test_straight_stroke_names_the_file(self, tmp_path, capsys):
         sigdir = tmp_path / "sigs"

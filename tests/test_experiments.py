@@ -140,6 +140,12 @@ class TestFpcaKmeans:
         with pytest.raises(ValueError):
             fpca_kmeans(s, n_components=2, k=2, seeds=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_refused(self, k):
+        s = generate(GeneratorSpec("elliptical_sincos", n=10, seed=2), GRID)
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            fpca_kmeans(s, n_components=2, k=k, seeds=0)
+
 
 def accuracy_by_permutations(true_labels, cluster_labels):
     """Exhaustive search over injective label maps; factorial time."""

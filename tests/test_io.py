@@ -134,6 +134,15 @@ class TestSignatureIO:
         with pytest.raises(InputFormatError, match="x, y, t"):
             read_signature(p)
 
+    @pytest.mark.parametrize("row", ["nan 0 10", "0 inf 10", "0 0 -inf",
+                                     "0 0 NaN"])
+    def test_non_finite_coordinate_names_file_and_line(self, tmp_path, row):
+        p = tmp_path / "sig.txt"
+        p.write_text(f"3\n0 0 0\n1 1 5\n{row}\n")
+        with pytest.raises(InputFormatError) as err:
+            read_signature(p)
+        assert str(err.value) == f"{p}: line 4: non-finite coordinate"
+
     def test_extra_columns_ignored(self, tmp_path):
         p = tmp_path / "sig.txt"
         p.write_text("2\n0 0 0 99 1000\n1 1 10 99 1000\n")
@@ -187,6 +196,26 @@ class TestTangentialAcceleration:
         accel /= np.sqrt(np.dot(accel * GRID.quad_weights, accel))
         got = tangential_acceleration(sig, GRID, method).values
         assert np.allclose(got, accel, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("points", [50, 128, 300])
+    @pytest.mark.parametrize("method", [DerivativeMethod(),
+                                        DerivativeMethod("local_poly", 2, 0.05)],
+                             ids=["finite_difference", "local_poly"])
+    def test_is_the_per_coordinate_feature_bit_for_bit(self, method, points):
+        # oracle: each resampled coordinate differentiated alone, then the
+        # feature's own arithmetic, so every bit must agree
+        grid = Grid(np.linspace(0.0, 1.0, points))
+        sig = toy_signature(n=400)
+        s = (sig.t - sig.t[0]) / (sig.t[-1] - sig.t[0])
+        dx, dy, d2x, d2y = (
+            estimate_derivative(Curve(grid, np.interp(grid.points, s, v)), m,
+                                method).values
+            for m in (1, 2) for v in (sig.x, sig.y))
+        speed = np.hypot(dx, dy)
+        accel = d2x * (dx / speed) + d2y * (dy / speed)
+        accel /= np.sqrt(np.dot(accel * grid.quad_weights, accel))
+        got = tangential_acceleration(sig, grid, method).values
+        assert np.array_equal(got, accel)
 
     def test_parabola_constant_feature(self):
         # x(t) = t^2, y = 0: speed 2t, acceleration 2 along the motion

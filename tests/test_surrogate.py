@@ -871,3 +871,100 @@ class TestResampleNormalizer:
                          bandwidth=1.0)
         assert str(gathered.value) == str(rebuilt.value)
         assert "minimum pairwise distance 5)" in str(gathered.value)
+
+
+# -- a model at other bandwidths against a fresh model at them ------------------
+
+
+AT_BANDWIDTH_SPECS = {"l2": SPECS["l2"],
+                      "derivative_l2_fd": SPECS["derivative_l2_fd"],
+                      "sobolev_h1_local_poly": SPECS["sobolev_h1_local_poly"]}
+
+
+def at_bandwidth_pair(spec, per_datum, normalized, seed=23, n=30):
+    """A base model at one bandwidth, queried at three curves, its copy at
+    another bandwidth, a fresh model at that bandwidth and the queries."""
+    rng = np.random.default_rng(seed)
+    t = GRID.points
+    V = (rng.standard_normal((n, 1)) * np.sin(2 * np.pi * t)
+         + rng.standard_normal((n, 1)) * np.cos(np.pi * t)
+         + 0.05 * rng.standard_normal((n, len(GRID))))
+    sample = FunctionalSample.from_matrix(GRID, V)
+    pair = builtin_pair("gaussian_gaussian")
+    base = DensityModel(sample, pair, spec, normalized=normalized)
+    h = 0.4 * base.max_pairwise_distance
+    if per_datum:
+        h = h * rng.uniform(0.7, 1.3, n)
+    xs = some_queries(base, 7)
+    base.curvature_statistics(xs)
+    fresh = DensityModel(sample, pair, spec, bandwidth=h, normalized=normalized)
+    return base, base.at_bandwidth(h), fresh, xs
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "bare"])
+@pytest.mark.parametrize("per_datum", [False, True], ids=["scalar_h", "per_datum_h"])
+@pytest.mark.parametrize("spec", list(AT_BANDWIDTH_SPECS))
+class TestAtBandwidth:
+    def test_state_equals_a_fresh_model(self, spec, per_datum, normalized):
+        _, new, fresh, _ = at_bandwidth_pair(AT_BANDWIDTH_SPECS[spec], per_datum,
+                                             normalized)
+        assert np.array_equal(new.pairwise_distances, fresh.pairwise_distances)
+        assert new.w_K == fresh.w_K and new.w_G == fresh.w_G
+        assert (new.w_K != 1.0) == normalized
+        assert new.min_pairwise_distance == fresh.min_pairwise_distance
+        assert new.max_pairwise_distance == fresh.max_pairwise_distance
+        assert np.array_equal(new._h, fresh._h) and np.array_equal(new._F, fresh._F)
+        assert np.array_equal(new._h3, fresh._h3)
+
+    def test_queries_equal_a_fresh_model(self, spec, per_datum, normalized):
+        _, new, fresh, xs = at_bandwidth_pair(AT_BANDWIDTH_SPECS[spec], per_datum,
+                                              normalized)
+        for x in xs:
+            assert np.array_equal(new.mean_shift_vector(x).values,
+                                  fresh.mean_shift_vector(x).values)
+        got, want = new.curvature_statistics(xs), fresh.curvature_statistics(xs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_shares_the_geometry_and_keeps_no_terms(self, spec, per_datum,
+                                                    normalized, monkeypatch):
+        base, _, _, xs = at_bandwidth_pair(AT_BANDWIDTH_SPECS[spec], per_datum,
+                                           normalized)
+        inits = counting(monkeypatch, DensityModel, "__init__")
+        pairwise = counting(monkeypatch, surrogate.Metric, "pairwise")
+        new = base.at_bandwidth(base._h * 1.5)
+        assert inits == [] and pairwise == []
+        assert new.sample is base.sample and new.metric is base.metric
+        assert new._F is base._F
+        assert new.pairwise_distances is base.pairwise_distances
+        assert not new.pairwise_distances.flags.writeable
+        assert base._memo is not None and new._memo is None
+        diffs = counting(monkeypatch, DensityModel, "_diff")
+        new.curvature_statistics(xs)
+        assert len(diffs) == 1  # computed at the new bandwidth, not carried over
+
+
+class TestAtBandwidthErrors:
+    def test_no_pair_in_reach_raises_the_same_text(self):
+        levels = np.array([0.0, 0.5, 5.0, 100.0])
+        sample = FunctionalSample.from_matrix(GRID, levels[:, None] * np.ones(len(GRID)))
+        pair = builtin_pair("uniform_epanechnikov")
+        base = DensityModel(sample, pair, bandwidth=1.0)
+        assert base.w_K > 0.0
+        with pytest.raises(NormalizerError) as copied:
+            base.at_bandwidth(0.4)
+        with pytest.raises(NormalizerError) as rebuilt:
+            DensityModel(sample, pair, bandwidth=0.4)
+        assert str(copied.value) == str(rebuilt.value)
+        assert "minimum pairwise distance 0.5)" in str(copied.value)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.inf, [1.0, 2.0]])
+    def test_bad_bandwidths_raise_the_same_text(self, bandwidth):
+        sample = FunctionalSample.from_matrix(
+            GRID, np.random.default_rng(4).standard_normal((3, len(GRID))))
+        pair = builtin_pair("gaussian_gaussian")
+        base = DensityModel(sample, pair, normalized=False)
+        with pytest.raises(ValueError) as copied:
+            base.at_bandwidth(bandwidth)
+        with pytest.raises(ValueError) as rebuilt:
+            DensityModel(sample, pair, bandwidth=bandwidth, normalized=False)
+        assert str(copied.value) == str(rebuilt.value)
