@@ -107,10 +107,10 @@ def _max_distance(model: DensityModel) -> float:
 
 
 def _percentile_distance(model: DensityModel, q: float) -> float:
-    """The q-th percentile of the model's pairwise distances i != j, a
+    """The q-th percentile of the distances of the model's pairs i < j, a
     bandwidth for the mode test; ValueError when it is zero up to rounding."""
     D = model.pairwise_distances
-    h = float(np.percentile(D[~np.eye(len(D), dtype=bool)], q))
+    h = float(np.percentile(D[np.triu_indices(len(D), 1)], q))
     level = _rounding_level(model)
     if h <= level:
         raise ValueError(

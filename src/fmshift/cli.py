@@ -104,15 +104,25 @@ def _add_probe_args(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_bandwidth_args(p, percentile=False):
+def _add_bandwidth_args(p, mode_test=False):
+    half = " of the mode-hunting first half" if mode_test else ""
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--bandwidth", type=float,
                      help="absolute bandwidth in distance units")
     grp.add_argument("--bandwidth-frac", type=float,
-                     help="bandwidth as a fraction of the largest pairwise distance")
-    if percentile:
+                     help="bandwidth as a fraction of the largest pairwise "
+                          "distance" + half)
+    if mode_test:
         grp.add_argument("--bandwidth-percentile", type=float,
-                         help="percentile of subsample-1 pairwise distances")
+                         help=f"percentile of the pairwise distances{half}, "
+                              "each pair counted once")
+
+
+def _bandwidth(args, model: DensityModel) -> float:
+    """h by --bandwidth-frac or --bandwidth-percentile off ``model``'s sample."""
+    if getattr(args, "bandwidth_percentile", None) is None:
+        return args.bandwidth_frac * _max_distance(model)
+    return _percentile_distance(model, args.bandwidth_percentile)
 
 
 def _distance_spec(args) -> DistanceSpec:
@@ -213,7 +223,7 @@ def _cmd_cluster(args) -> int:
                          normalized=False)
     h = args.bandwidth
     if h is None:
-        h = args.bandwidth_frac * _max_distance(model)
+        h = _bandwidth(args, model)
     modes = cluster(model.at_bandwidth(h), _engine_cfg(args))
     report = _mode_report(args, sample, modes, digests,
                           extra_config={"bandwidth": _fmt(h)})
@@ -248,17 +258,10 @@ def _cmd_test_modes(args) -> int:
     spec = _distance_spec(args)
     pair = builtin_pair(args.kernel)
 
-    def model(curves):
-        return DensityModel(curves, pair, spec, normalized=False)
-
-    if args.bandwidth_percentile is not None:
-        # a rule of the mode-hunting half, which test_modes hands it
+    bandwidth = args.bandwidth
+    if bandwidth is None:  # a rule of the mode-hunting half, which test_modes hands it
         def bandwidth(sub1):
-            return _percentile_distance(model(sub1), args.bandwidth_percentile)
-    elif args.bandwidth_frac is not None:
-        bandwidth = args.bandwidth_frac * _max_distance(model(sample))
-    else:
-        bandwidth = args.bandwidth
+            return _bandwidth(args, DensityModel(sub1, pair, spec, normalized=False))
 
     t_cfg = TestConfig(alpha=args.alpha, n_boot=args.boot,
                        statistic=args.statistic, split_rule=args.split)
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test-modes", help="bootstrap mode significance test")
     _add_input_args(p)
     _add_model_args(p)
-    _add_bandwidth_args(p, percentile=True)
+    _add_bandwidth_args(p, mode_test=True)
     _add_engine_args(p)
     _add_probe_args(p)
     p.add_argument("--alpha", type=float, default=0.05)

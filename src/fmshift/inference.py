@@ -44,7 +44,6 @@ class TestConfig:
     n_boot: int = 1000
     statistic: str = "lambda_eigen"
     split_rule: str = "first_half"
-    include_atomic: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -71,7 +70,7 @@ class ModeRecord:
     ci: tuple  # (lo, hi) for the selected statistic
     ci_level: float
     significant: bool
-    replicates: dict  # statistic name -> np.ndarray of bootstrap values
+    replicates: dict  # statistic name -> the (B,) view of its bootstrap values
     n_retries: int
 
 
@@ -130,18 +129,16 @@ def _resolve_bandwidth(bandwidth, subsample1: FunctionalSample):
     return float(bandwidth)
 
 
-def _statistics(model: DensityModel, modes: dict, where: str) -> dict:
-    """{statistic name: [value at each mode]} for ``modes``, a dict from
-    candidate index to mode. A non-finite value raises; it is never redrawn,
+def _statistics(model: DensityModel, modes: list, tested: list, where: str):
+    """The (2, r) array of ``STATISTICS`` at the r candidate ``modes``, whose
+    indices ``tested`` lists. A non-finite value raises; it is never redrawn,
     since a redraw would condition the bootstrap distribution on finiteness."""
-    values = model.curvature_statistics(list(modes.values()))
-    out = {}
-    for name, row in zip(STATISTICS, values):
-        if not np.isfinite(row).all():
-            j, v = next((j, v) for j, v in zip(modes, row) if not np.isfinite(v))
-            raise FloatingPointError(f"{name} is {v} at candidate mode {j} {where}")
-        out[name] = row.tolist()
-    return out
+    values = np.array(model.curvature_statistics(modes))
+    if not np.isfinite(values).all():
+        k, i = np.argwhere(~np.isfinite(values))[0]
+        raise FloatingPointError(f"{STATISTICS[k]} is {values[k, i]} at "
+                                 f"candidate mode {tested[i]} {where}")
+    return values
 
 
 def test_modes(sample: FunctionalSample, pair: KernelPair,
@@ -152,12 +149,12 @@ def test_modes(sample: FunctionalSample, pair: KernelPair,
                seed: int = 0) -> ModeTestReport:
     """Run the two-stage mode significance test on a sample of curves.
 
-    Stage 1 clusters the first subsample and takes its modes as candidates
-    (atomic modes are skipped unless the config includes them). Stage 2
-    bootstraps the second subsample to build simultaneous percentile intervals
-    for the curvature statistic at each candidate. No curve from the second
-    subsample influences candidate locations and no curve from the first
-    enters any interval.
+    Stage 1 clusters the first subsample and takes its non-atomic modes as
+    candidates. Stage 2 bootstraps the second subsample to build simultaneous
+    percentile intervals for the curvature statistic at each candidate. A
+    callable ``bandwidth`` sees the first subsample alone, so no curve from
+    the second subsample influences h or the candidate locations, and no
+    curve from the first enters any interval.
     """
     if len(sample) < 4:
         raise ValueError("the mode test needs at least 4 curves")
@@ -171,10 +168,7 @@ def test_modes(sample: FunctionalSample, pair: KernelPair,
 
     stage1 = DensityModel(sub1, pair, distance, bandwidth=h, normalized=False)
     candidates = cluster(stage1, ms_cfg)
-    if t_cfg.include_atomic:
-        tested = list(range(candidates.n_modes))
-    else:
-        tested = candidates.nonatomic_mode_indices()
+    tested = candidates.nonatomic_mode_indices()
 
     if not tested:
         return ModeTestReport(candidates, (), (), t_cfg.statistic, t_cfg.alpha,
@@ -190,28 +184,27 @@ def test_modes(sample: FunctionalSample, pair: KernelPair,
             f"mode test second half ({n2} curves) at bandwidth h={h:.6g}: {exc}"
         ) from exc
 
-    modes = {j: candidates.modes[j] for j in tested}
-    observed = _statistics(full2, modes, "on the second half")
-    reps = {name: np.empty((r, t_cfg.n_boot)) for name in STATISTICS}
+    modes = [candidates.modes[j] for j in tested]
+    observed = _statistics(full2, modes, tested, "on the second half")
+    reps = np.empty((t_cfg.n_boot, len(STATISTICS), r))
     # one independent substream per replicate so parallel evaluation could
     # never change the result
     seeds = rng.integers(0, 2**63 - 1, size=t_cfg.n_boot)
     for b in range(t_cfg.n_boot):
         idx = np.random.default_rng(seeds[b]).integers(0, n2, size=n2)
-        model = full2.resample(idx)
-        for name, row in _statistics(model, modes, f"in replicate {b}").items():
-            reps[name][:, b] = row
+        reps[b] = _statistics(full2.resample(idx), modes, tested, f"in replicate {b}")
 
+    k = STATISTICS.index(t_cfg.statistic)
     records = []
-    for i, mode in enumerate(modes.values()):
-        ci = bootstrap_ci(reps[t_cfg.statistic][i], level)
+    for i, mode in enumerate(modes):
+        ci = bootstrap_ci(reps[:, k, i], level)
         records.append(ModeRecord(
             mode=mode,
-            observed={name: observed[name][i] for name in STATISTICS},
+            observed=dict(zip(STATISTICS, observed[:, i])),
             ci=ci,
             ci_level=level,
             significant=ci[1] < 0.0,
-            replicates={name: reps[name][i].copy() for name in STATISTICS},
+            replicates=dict(zip(STATISTICS, reps[:, :, i].T)),
             n_retries=0,
         ))
     return ModeTestReport(candidates, tuple(records), tuple(tested),

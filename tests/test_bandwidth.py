@@ -234,9 +234,24 @@ class TestPercentileDistance:
         sample = FunctionalSample.from_matrix(GRID, V)
         model = DensityModel(sample, builtin_pair("gaussian_gaussian"), spec,
                              normalized=False)
-        off = model.pairwise_distances[~np.eye(12, dtype=bool)]
+        # each pair once
+        D = model.pairwise_distances
+        pairs = [D[i, j] for i in range(12) for j in range(i + 1, 12)]
         for q in (0.0, 41.0, 100.0):
-            assert _percentile_distance(model, q) == float(np.percentile(off, q))
+            assert _percentile_distance(model, q) == float(np.percentile(pairs, q))
+
+    @pytest.mark.parametrize("n", range(4, 40))
+    def test_lies_strictly_between_two_pair_distances(self, n):
+        # counted twice, every distance fills two adjacent order statistics,
+        # and an interpolated percentile often lands on one of them: that
+        # pair then sits at t = 1, the edge of a compact support
+        grid = Grid(np.linspace(0.0, 1.0, 30))
+        V = np.random.default_rng(n).standard_normal((n, len(grid)))
+        model = DensityModel(FunctionalSample.from_matrix(grid, V),
+                             builtin_pair("gaussian_gaussian"), normalized=False)
+        h = _percentile_distance(model, 41.0)
+        d = model.pairwise_distances[np.triu_indices(n, 1)]
+        assert np.any(d < h) and np.any(d > h) and not np.any(d == h)
 
     @pytest.mark.parametrize("spec", ROUNDING_SPECS,
                              ids=["l2", "sobolev_h1", "derivative_l2_local_poly"])

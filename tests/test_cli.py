@@ -313,6 +313,19 @@ class TestScan:
 
 
 class TestTestModes:
+    @pytest.mark.parametrize("flag, value", [("--bandwidth", 1.5),
+                                             ("--bandwidth-frac", 0.3),
+                                             ("--bandwidth-percentile", 41)])
+    def test_no_model_of_the_whole_sample_is_built(self, flag, value,
+                                                   curves_csv, tmp_path,
+                                                   monkeypatch):
+        # a relative rule reads the mode-hunting half, 15 of the 30 curves
+        inits = counting(monkeypatch, DensityModel, "__init__")
+        assert run(["test-modes", "--input", curves_csv, flag, value,
+                    "--boot", 100, "--out", tmp_path / "tm.txt"]) == 0
+        sizes = [len(args[1]) for args in inits]
+        assert sizes and set(sizes) == {15}
+
     def test_percentile_bandwidth(self, curves_csv, tmp_path):
         out = tmp_path / "tm.txt"
         assert run(["test-modes", "--input", curves_csv,

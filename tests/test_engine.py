@@ -338,6 +338,7 @@ def wave_sample(seed=5):
 LOCAL_POLY = DerivativeMethod("local_poly", 3, 0.1)
 
 
+@pytest.mark.thread_invariant
 class TestAscendOracle:
     SPECS = [DistanceSpec("l2"), DistanceSpec("derivative_l2", 1),
              DistanceSpec("sobolev_h1", derivative_method=LOCAL_POLY)]
@@ -409,6 +410,7 @@ def clustered_wave_sample(name, spec, frac):
 ASCENT_PAIRS = ["epanechnikov_biweight", "biweight_triweight"]
 
 
+@pytest.mark.thread_invariant
 class TestAscentProperty:
     @pytest.mark.parametrize("name", ASCENT_PAIRS)
     @pytest.mark.parametrize("spec", HILBERT_SPECS, ids=spec_id)
@@ -422,6 +424,7 @@ class TestAscentProperty:
             assert np.all(np.diff(dens) >= -1e-12 * dens.max())
 
 
+@pytest.mark.thread_invariant
 class TestModeStationarity:
     @pytest.mark.parametrize("name", ASCENT_PAIRS)
     @pytest.mark.parametrize("spec", HILBERT_SPECS, ids=spec_id)
@@ -483,6 +486,7 @@ class TestFirstStepOracle:
             assert np.allclose(got, V, rtol=1e-13, atol=1e-13 * np.abs(V).max())
 
 
+@pytest.mark.thread_invariant
 class TestMergeOrigin:
     """Shifting every curve by one constant leaves the partition as it is.
     The merge centres the terminals first, so the Gram form's loss of about

@@ -146,20 +146,6 @@ class TestModeSignificance:
         for s, l in zip(strict.records, lax.records):
             assert s.ci[0] <= l.ci[0] and l.ci[1] <= s.ci[1]
 
-    def test_include_atomic_widens_candidate_set(self):
-        # add a far outlier to the first half so stage 1 grows an atomic mode
-        sample = two_blob_sample(n=20, seed=4)
-        M = sample.matrix.copy()
-        M[0] = 50.0
-        sample = FunctionalSample.from_matrix(GRID, M)
-        pair = builtin_pair("gaussian_gaussian")
-        base = run_mode_test(sample, pair, bandwidth=2.0,
-                          t_cfg=ModeTestConfig(n_boot=100), seed=0)
-        withat = run_mode_test(sample, pair, bandwidth=2.0,
-                            t_cfg=ModeTestConfig(n_boot=100, include_atomic=True),
-                            seed=0)
-        assert len(withat.tested_mode_indices) > len(base.tested_mode_indices)
-
     def test_needs_four_curves(self):
         sample = FunctionalSample.from_matrix(GRID, np.zeros((3, len(GRID))))
         with pytest.raises(ValueError):
@@ -210,6 +196,7 @@ def median_distance(distance):
     return bw
 
 
+@pytest.mark.thread_invariant
 class TestReplicatesAsIndexViews:
     @pytest.mark.parametrize("distance", [
         DistanceSpec("l2"),

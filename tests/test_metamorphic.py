@@ -1,5 +1,6 @@
 """Metamorphic relations: what the method reports does not depend on the
-unit of the curves or on the order of the sample.
+unit of the curves or on the order of the sample, and what the mode test's
+first stage reports does not depend on the curves it bootstraps.
 
 The paper's objects are functions, not arrays. Multiplying every curve and
 every bandwidth by a power of two s changes no rounding, so the relations
@@ -11,9 +12,15 @@ and they hold whatever path computes the results.
 Stability flags are left out of the order relation: each mode's probe
 direction is drawn from one generator in mode order, which follows sample
 order.
+
+The mode test is split-sample: one half finds the candidate modes, and only
+the other half is bootstrapped for their curvature. Replacing or rescaling
+curves of the second half must leave the bandwidth, whatever rule picks it,
+and all of stage 1 as they are, to the last bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +34,13 @@ from fmshift import (
     ScanSpec,
     builtin_pair,
     cluster,
+    parse_report,
     scan,
+    write_curves_csv,
 )
+from fmshift import TestConfig as ModeTestConfig
+from fmshift import test_modes as run_mode_test
+from fmshift.cli import main
 
 GRID = Grid(np.linspace(0.0, 1.0, 21))
 SPECS = {
@@ -81,6 +93,7 @@ def groups(assignments):
     return {frozenset(g) for g in out.values()}
 
 
+@pytest.mark.thread_invariant
 class TestUnitScaling:
     @given(seed=seeds, kind=kinds, kernel=kernels, s=scales)
     @SETTINGS
@@ -136,3 +149,97 @@ class TestSampleOrder:
         # position i of the shuffled sample is curve perm[i] of the original
         assert {frozenset(perm[list(g)]) for g in groups(shuffled.assignments)} \
             == groups(base.assignments)
+
+
+class _SplitSeen(Exception):
+    """Stops a mode test at its bandwidth rule, which carries the first half."""
+
+
+def second_half(n, split, seed):
+    """The positions of the curves that the mode test on n curves with this
+    split rule and seed bootstraps: those its bandwidth rule does not see."""
+    def rule(sub1):
+        raise _SplitSeen(sub1.labels)
+
+    blank = FunctionalSample.from_matrix(GRID, np.zeros((n, len(GRID))),
+                                         labels=range(n))
+    with pytest.raises(_SplitSeen) as seen:
+        run_mode_test(blank, builtin_pair("gaussian_gaussian"), bandwidth=rule,
+                      t_cfg=ModeTestConfig(n_boot=100, split_rule=split),
+                      seed=seed)
+    return sorted(set(range(n)) - set(seen.value.args[0]))
+
+
+def changed_second_half(sample, split, seed, change):
+    """The sample with its second-half curves scaled by 1.5 or replaced by
+    other curves. (The second half must keep a pair within reach of h for the
+    bootstrap to run, which larger factors break for derivative_l2.)"""
+    rows = second_half(len(sample), split, seed)
+    V = sample.matrix.copy()
+    V[rows] = 1.5 * V[rows] if change == "scale" else curves(seed + 1).matrix[rows]
+    return FunctionalSample.from_matrix(GRID, V)
+
+
+def frac_of_largest_distance(spec):
+    def rule(sub1):
+        model = DensityModel(sub1, builtin_pair("gaussian_gaussian"), spec,
+                             normalized=False)
+        return 0.4 * model.max_pairwise_distance
+    return rule
+
+
+def stage_one(bandwidth, tested, modes, flags):
+    """What of a mode test the first half alone determines: h, the tested
+    candidates, the mode values, and stage 1's assignments and flags, which
+    ``flags`` (a ModeSet or a RunReport) carries."""
+    return (bandwidth, tuple(tested), [[float(v) for v in m] for m in modes],
+            flags.assignments, flags.atomic_flags, flags.stability_flags)
+
+
+@pytest.mark.thread_invariant
+class TestSecondHalfIsBootstrapOnly:
+    @given(seed=seeds, kind=kinds, split=st.sampled_from(["first_half", "random"]),
+           change=st.sampled_from(["scale", "replace"]))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_library_rule_and_stage_one_do_not_change(self, seed, kind, split,
+                                                      change):
+        sample, spec = curves(seed), SPECS[kind]
+
+        def run(s):
+            rep = run_mode_test(s, builtin_pair("gaussian_gaussian"), spec,
+                                bandwidth=frac_of_largest_distance(spec),
+                                t_cfg=ModeTestConfig(n_boot=100,
+                                                     split_rule=split),
+                                seed=seed)
+            return stage_one(rep.bandwidth, rep.tested_mode_indices,
+                             [m.values for m in rep.candidates.modes],
+                             rep.candidates)
+
+        base = run(sample)
+        assert base[1]  # a candidate is tested
+        assert run(changed_second_half(sample, split, seed, change)) == base
+
+    @pytest.mark.parametrize("change", ["scale", "replace"])
+    @pytest.mark.parametrize("split", ["first_half", "random"])
+    @pytest.mark.parametrize("flag, value", [("--bandwidth", 0.6),
+                                             ("--bandwidth-frac", 0.25),
+                                             ("--bandwidth-percentile", 41)])
+    def test_cli_bandwidth_and_stage_one_do_not_change(self, flag, value, split,
+                                                       change, tmp_path):
+        seed = 5
+
+        def run(s, name):
+            write_curves_csv(tmp_path / f"{name}.csv", s)
+            out = tmp_path / f"{name}.txt"
+            assert main(["test-modes", "--input", str(tmp_path / f"{name}.csv"),
+                         flag, str(value), "--boot", "100", "--split", split,
+                         "--seed", str(seed), "--out", str(out)]) == 0
+            rep = parse_report(out.read_text())
+            return stage_one(rep.mode_test.bandwidth,
+                             [row[0] for row in rep.mode_test.rows], rep.modes, rep)
+
+        sample = curves(seed)
+        base = run(sample, "base")
+        assert base[1]  # a candidate is tested
+        assert run(changed_second_half(sample, split, seed, change),
+                   "changed") == base

@@ -127,6 +127,7 @@ def metric_cases(draw):
     return seed, DistanceSpec(kind, order, method), n_points
 
 
+@pytest.mark.thread_invariant
 class TestMetricOracle:
     @given(metric_cases())
     @example((1, DistanceSpec("l2"), 12))
@@ -339,6 +340,7 @@ class TestFiniteDifferenceOperator:
                     SignatureRecord(x=np.cos(t), y=np.sin(t), t=t), grid)
 
 
+@pytest.mark.thread_invariant
 class TestEstimateDerivativeIsTheMetricOperator:
     """A curve's derivative is the derivative block of its metric components,
     bit for bit: both apply the grid's one cached operator."""

@@ -476,6 +476,7 @@ def assert_close(got, want, rel=1e-12):
     assert got == pytest.approx(want, rel=rel, abs=1e-300), (got, want)
 
 
+@pytest.mark.thread_invariant
 class TestCurvatureStatisticsOracle:
     @pytest.mark.parametrize("kernel", BUILTIN_PAIR_NAMES)
     @pytest.mark.parametrize("spec", list(SPECS), ids=list(SPECS))
@@ -586,6 +587,7 @@ class TestTopEigenvalue:
             model.curvature_statistics([x])
 
 
+@pytest.mark.thread_invariant
 class TestBatchIdentity:
     @given(seed=st.integers(0, 2**32 - 1),
            spec=st.sampled_from(list(SPECS)),
@@ -612,6 +614,7 @@ def trace_scale(model, x):
     return model.pair.C * model.w_G * float((-dk * d / h**3 + kv / h**2).sum())
 
 
+@pytest.mark.thread_invariant
 class TestTraceBound:
     @given(seed=st.integers(0, 2**32 - 1),
            spec=st.sampled_from(list(SPECS)),
@@ -667,6 +670,7 @@ class TestTraceBound:
 @pytest.mark.parametrize("per_datum", [False, True], ids=["scalar_h", "per_datum_h"])
 @pytest.mark.parametrize("kernel", BUILTIN_PAIR_NAMES)
 @pytest.mark.parametrize("spec", ["l2", "sobolev_h1_local_poly"])
+@pytest.mark.thread_invariant
 class TestUnits:
     def test_statistics_scale_as_length_to_the_minus_two(self, spec, kernel,
                                                           per_datum, s):
@@ -752,6 +756,7 @@ def counting(monkeypatch, cls, name):
 
 @pytest.mark.parametrize("per_datum", [False, True], ids=["scalar_h", "per_datum_h"])
 @pytest.mark.parametrize("spec", list(RESAMPLE_SPECS))
+@pytest.mark.thread_invariant
 class TestResample:
     def test_gathered_state_equals_a_fresh_model(self, spec, per_datum):
         _, rs, fresh, idx = resample_pair(RESAMPLE_SPECS[spec], per_datum)
@@ -854,6 +859,7 @@ class TestResample:
                 assert a.flags.c_contiguous
 
 
+@pytest.mark.thread_invariant
 class TestResampleNormalizer:
     def test_no_pair_in_reach_raises_the_same_text(self):
         # the base has one close pair (0, 0.01); the resample drops it
@@ -904,6 +910,7 @@ def at_bandwidth_pair(spec, per_datum, normalized, seed=23, n=30):
 @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "bare"])
 @pytest.mark.parametrize("per_datum", [False, True], ids=["scalar_h", "per_datum_h"])
 @pytest.mark.parametrize("spec", list(AT_BANDWIDTH_SPECS))
+@pytest.mark.thread_invariant
 class TestAtBandwidth:
     def test_state_equals_a_fresh_model(self, spec, per_datum, normalized):
         _, new, fresh, _ = at_bandwidth_pair(AT_BANDWIDTH_SPECS[spec], per_datum,
@@ -943,6 +950,7 @@ class TestAtBandwidth:
         assert len(diffs) == 1  # computed at the new bandwidth, not carried over
 
 
+@pytest.mark.thread_invariant
 class TestAtBandwidthErrors:
     def test_no_pair_in_reach_raises_the_same_text(self):
         levels = np.array([0.0, 0.5, 5.0, 100.0])
